@@ -33,8 +33,7 @@ from .automata import (ParityTreeAutomaton, conjunction_dpw_tuple,
 from .errors import AlphabetMismatch, InconsistentRun, NotMember
 from .games import (AUTOMATON, PATHFINDER, ParityGameArena, solve,
                     strongly_connected_components)
-from .membership import (RegularRun, _product_arena, automaton_strategy_to_run,
-                         build_game, run_check, run_is_accepting)
+from .membership import RegularRun, _product_arena, run_is_accepting
 from .trees import build_tree, tree_equal
 
 INFINITE = "infinite"
@@ -186,8 +185,8 @@ def is_k_ambiguous(a, k):
 class _RunCounts:
     """Winning-region counting data for one automaton/tree pair.
 
-    avert: the Automaton product vertices; wmoves maps each winning vertex
-    to its winning moves as (left, right) vertex pairs; roots are the
+    wmoves maps each winning vertex to its winning moves as (left, right)
+    vertex pairs and succ to their children, sorted by str; roots are the
     winning initial vertices; reach is the set reachable from the roots
     through winning moves (= vertices occurring in accepting runs).
     """
@@ -211,6 +210,8 @@ class _RunCounts:
             if len(v) == 2 and v in won:
                 self.wmoves[v] = tuple(tuple(arena.edges[pv])
                                        for pv in arena.edges[v] if pv in won)
+        self.succ = {v: sorted({c for cl, cr in ms for c in (cl, cr)}, key=str)
+                     for v, ms in self.wmoves.items()}
         self.reach = set()
         todo = list(self.roots)
         while todo:
@@ -218,8 +219,7 @@ class _RunCounts:
             if v in self.reach:
                 continue
             self.reach.add(v)
-            for cl, cr in self.wmoves.get(v, ()):
-                todo += [u for u in (cl, cr) if u not in self.reach]
+            todo += [u for u in self.succ[v] if u not in self.reach]
         self._branching = None
         self._cyclic = None
         self._counts = {}      # cap -> {vertex: saturated N(vertex)}
@@ -243,8 +243,7 @@ class _RunCounts:
     def cyclic(self):
         """Vertices lying on a cycle of the winning move graph."""
         if self._cyclic is None:
-            succ = {v: sorted({c for cl, cr in ms for c in (cl, cr)}, key=str)
-                    for v, ms in self.wmoves.items()}
+            succ = self.succ
             sccs = strongly_connected_components(sorted(succ, key=str),
                                                  lambda v: succ[v])
             flag = {v: False for v in succ}
@@ -297,10 +296,7 @@ class _RunCounts:
                         "certificate should have fired first")
                 expanding.add(u)
                 stack.append((u, True))
-                for cl, cr in self.wmoves[u]:
-                    for c in (cl, cr):
-                        if c not in memo:
-                            stack.append((c, False))
+                stack += [(c, False) for c in self.succ[u] if c not in memo]
         return memo[v]
 
     def total(self, cap=None):
@@ -381,8 +377,7 @@ class AmbiguityVerdict:
 
 def _succ_within(counts, allowed):
     """Winning-move successor map restricted to a vertex set."""
-    return {v: sorted({c for cl, cr in counts.wmoves.get(v, ())
-                       for c in (cl, cr) if c in allowed}, key=str)
+    return {v: [c for c in counts.succ.get(v, ()) if c in allowed]
             for v in allowed}
 
 
@@ -409,9 +404,9 @@ def _shortest_path(succ, sources, targets):
     return None
 
 
-def _cycle_through(counts, v, allowed, via=None):
-    """A cycle v ->+ v inside allowed, passing through some via vertex."""
-    succ = _succ_within(counts, allowed)
+def _cycle_through(counts, v, allowed=None, via=None):
+    """A cycle v ->+ v (inside allowed, if given) through some via vertex."""
+    succ = counts.succ if allowed is None else _succ_within(counts, allowed)
     starts = succ.get(v, ())
     if via is None or v in via:
         back = _shortest_path(succ, starts, {v})
@@ -425,32 +420,55 @@ def _cycle_through(counts, v, allowed, via=None):
     return [v] + head + tail
 
 
+def _subtree(t, m):
+    return build_tree(m, lambda s, d: t.next[(s, d)], lambda s: t.out[s],
+                      t.alphabet, name=f"{t.name}@{m}")
+
+
 def _residual_runs(counts, vertex):
-    """Two distinct accepting runs of A_q on the subtree at m."""
+    """Two distinct accepting runs of A_q on the subtree at m, read off
+    Automaton's winning strategy.
+
+    u is the nearest vertex below vertex = (m, q) with two winning moves
+    (one exists, as witness vertices are branching); the vertices before it
+    have one winning move each, so the strategy follows the BFS path to u.
+    Run i follows the strategy except at u's node on that path, where it
+    takes u's i-th winning move; every branch ends up following the
+    positional winning strategy, so both runs accept.  u may recur on a
+    cycle, so the fork is placed at a node, not patched into the strategy:
+    machine states are (vertex, depth along the path), depth None off it.
+    """
     m, q = vertex
     a, t = counts.automaton, counts.tree
-    sub = build_tree(m, lambda s, d: t.next[(s, d)], lambda s: t.out[s],
-                     t.alphabet, name=f"{t.name}@{m}")
+    strat, edges = counts.analysis.strategy[AUTOMATON], counts.arena.edges
+    forks = {u for u, ms in counts.wmoves.items() if len(ms) >= 2}
+    path = _shortest_path(counts.succ, [vertex], forks)
+    last = len(path) - 1
+    dirs = ["l" if edges[strat[u]][0] == w else "r"
+            for u, w in zip(path, path[1:])]
+
+    def step(s, d, i):
+        v, j = s
+        kids = counts.wmoves[v][i] if j == last else edges[strat[v]]
+        on_path = j is not None and j < last and dirs[j] == d
+        return kids[0 if d == "l" else 1], (j + 1 if on_path else None)
+
+    sub = _subtree(t, m)
     aq = restrict_initials(a, frozenset([q]))
-    k2 = k_distinct_runs_automaton(aq, 2)
-    g = build_game(k2, sub)
-    paired = automaton_strategy_to_run(g, solve(g.arena))
     alphabet = tuple(sorted(aq.states, key=str))
-    runs = []
-    for i in (0, 1):
-        mach = build_tree(paired.machine.init,
-                          lambda s, d: paired.machine.next[(s, d)],
-                          lambda s, i=i: paired.machine.out[s][0][i],
-                          alphabet, name=f"{paired.name}#{i}")
-        runs.append(run_check(RegularRun(aq, sub, mach)))
-    return tuple(runs)
+    return tuple(
+        RegularRun(aq, sub, build_tree((vertex, 0),
+                                       lambda s, d, i=i: step(s, d, i),
+                                       lambda s: s[0][1], alphabet,
+                                       name=f"run[{aq.name},{sub.name}]#{i}"))
+        for i in (0, 1))
 
 
 def _find_witness(counts, mode):
     a = counts.automaton
     if mode == INFINITE:
         for v in counts.regeneration_vertices():
-            spine = _cycle_through(counts, v, set(counts.wmoves))
+            spine = _cycle_through(counts, v)
             if spine and len(spine) > 1 and spine[-1] == v:
                 runs = _residual_runs(counts, v)
                 return RegenerationWitness(mode, v, tuple(spine), runs)
@@ -504,14 +522,14 @@ def find_regeneration_witness(a, t, mode):
     if not counts.roots:
         raise NotMember(f"{a.name} does not accept {t.name}")
     witness = _find_witness(counts, mode)
-    if witness is not None and not witness_is_valid(a, t, witness):
+    if witness is not None and not _witness_ok(counts, witness):
         raise AssertionError("internal witness failed its validity checks")
     return witness
 
 
-def witness_is_valid(a, t, witness):
-    """Mechanical validity checks of a regeneration witness."""
-    counts = _RunCounts(a, t)
+def _witness_ok(counts, witness):
+    """witness_is_valid against an already solved product."""
+    a = counts.automaton
     v = witness.vertex
     if v not in counts.reach:
         return False
@@ -524,13 +542,23 @@ def witness_is_valid(a, t, witness):
     if witness.mode == UNCOUNTABLE:
         if max(a.color[q] for _, q in spine) % 2 != 0:
             return False
+    m, q = v
+    sub = _subtree(counts.tree, m)
+    # judge each run as a run of A_q: a's transitions and colors, root q
+    aq = restrict_initials(a, frozenset([q]))
     r1, r2 = witness.runs
     try:
-        if not (run_is_accepting(r1) and run_is_accepting(r2)):
-            return False
+        ok = all(tree_equal(r.tree, sub) and
+                 run_is_accepting(RegularRun(aq, r.tree, r.machine))
+                 for r in (r1, r2))
     except InconsistentRun:
         return False
-    return not tree_equal(r1.machine, r2.machine)
+    return ok and not tree_equal(r1.machine, r2.machine)
+
+
+def witness_is_valid(a, t, witness):
+    """Mechanical validity checks of a regeneration witness."""
+    return _witness_ok(_RunCounts(a, t), witness)
 
 
 def classify(a, t, K):
@@ -550,7 +578,7 @@ def classify(a, t, K):
                         (INFINITE, AmbiguityVerdict.infinite)):
         witness = _find_witness(counts, mode)
         if witness is not None:
-            if not witness_is_valid(a, t, witness):
+            if not _witness_ok(counts, witness):
                 raise AssertionError(
                     "internal witness failed its validity checks")
             return build(witness)

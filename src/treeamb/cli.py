@@ -10,7 +10,7 @@ import os
 import sys
 
 from . import formats, zoo
-from .ambiguity import at_least_k, classify, emptiness, is_k_ambiguous
+from .ambiguity import classify, emptiness, is_k_ambiguous
 from .automata import (intersect, moore_reduction, restrict_initials,
                        single_initial, union)
 from .errors import ParseError, TreeambError

@@ -17,10 +17,6 @@ class UnknownState(TreeambError):
     pass
 
 
-class SortMismatch(TreeambError):
-    """A finite tree uses a leaf symbol in an inner position or vice versa."""
-
-
 class MalformedArena(TreeambError):
     pass
 

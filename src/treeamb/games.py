@@ -382,30 +382,3 @@ def verify_strategy(arena, player, strategy, region=None):
                 seen, lambda v: restricted[v], arena.color, c):
             return False
     return True
-
-
-# --------------------------------------------------------------------------
-# DOT rendering
-
-def to_dot(arena, analysis=None):
-    """GraphViz text: box for Automaton vertices, diamond for Pathfinder,
-    fill by winning region, strategy edges bold."""
-    names = {v: f"v{i}" for i, v in enumerate(sorted(arena.owner, key=str))}
-    lines = [f'digraph "{arena.name}" {{']
-    chosen = set()
-    if analysis is not None:
-        for p in (AUTOMATON, PATHFINDER):
-            chosen.update((v, w) for v, w in analysis.strategy[p].items())
-    for v in sorted(arena.owner, key=str):
-        shape = "box" if arena.owner[v] == AUTOMATON else "diamond"
-        attrs = [f"shape={shape}", f'label="{v}:{arena.color[v]}"']
-        if analysis is not None:
-            fill = "lightblue" if v in analysis.region[AUTOMATON] else "lightpink"
-            attrs.append(f'style=filled,fillcolor={fill}')
-        lines.append(f'  {names[v]} [{", ".join(attrs)}];')
-    for v in sorted(arena.owner, key=str):
-        for w in arena.edges.get(v, ()):
-            style = ' [style=bold]' if (v, w) in chosen else ""
-            lines.append(f'  {names[v]} -> {names[w]}{style};')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -17,6 +17,7 @@ exactly what the sink does.  The leads() simulator below re-creates the
 invalid-move device where it is actually needed.
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 from .automata import single_initial
@@ -39,10 +40,10 @@ def _product_arena(a, t, name):
     owner, color, edges = {}, {}, {}
     sinks = set()
     inits = [(t.init, q) for q in sorted(a.initials, key=str)]
-    queue = list(inits)
+    queue = deque(inits)
     seen = set(queue)
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         if len(v) == 2:
             m, q = v
             owner[v] = AUTOMATON
@@ -68,8 +69,6 @@ def _product_arena(a, t, name):
 @dataclass
 class MembershipGame:
     arena: ParityGameArena
-    avert: dict        # Automaton vertex -> (tree state, automaton state)
-    pvert: dict        # Pathfinder vertex -> (tree state, q_left, q_right)
     automaton: object  # the automaton the arena was built from (single-initial)
     original: object   # the automaton as passed in
     tree: RegularTree
@@ -87,9 +86,7 @@ def build_game(a, t):
             f"{t.name} is over {t.alphabet}, outside {a.name}'s alphabet")
     normalized = a if len(a.initials) == 1 else single_initial(a)
     arena, inits = _product_arena(normalized, t, f"G[{a.name},{t.name}]")
-    avert = {v: v for v in arena.owner if len(v) == 2}
-    pvert = {v: v for v in arena.owner if len(v) == 3}
-    return MembershipGame(arena, avert, pvert, normalized, a, t)
+    return MembershipGame(arena, normalized, a, t)
 
 
 def member(a, t):
@@ -128,9 +125,9 @@ def run_check(run):
         raise InconsistentRun(
             f"{run.name}: root state {mach.out[mach.init]!r} is not initial")
     seen = {(mach.init, t.init)}
-    queue = [(mach.init, t.init)]
+    queue = deque([(mach.init, t.init)])
     while queue:
-        r, m = queue.pop(0)
+        r, m = queue.popleft()
         trans = (mach.out[r], t.out[m],
                  mach.out[mach.next[(r, "l")]], mach.out[mach.next[(r, "r")]])
         if trans not in a.delta:
@@ -154,9 +151,9 @@ def run_is_accepting(run):
     run_check(run)
     a, mach = run.automaton, run.machine
     reach = {mach.init}
-    queue = [mach.init]
+    queue = deque([mach.init])
     while queue:
-        s = queue.pop(0)
+        s = queue.popleft()
         for d in DIRS:
             w = mach.next[(s, d)]
             if w not in reach:

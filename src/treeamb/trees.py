@@ -8,7 +8,8 @@ so structural equality of the underlying graphs is meaningful but semantic
 equality should always go through tree_equal.
 """
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 from .errors import AlphabetMismatch, AntichainViolation, UnknownState
 
@@ -80,10 +81,10 @@ def build_tree(init, succ, out, alphabet, name="tree"):
     space; only the part reachable from init is kept.
     """
     order = {init: 0}
-    queue = [init]
+    queue = deque([init])
     nxt = {}
     while queue:
-        s = queue.pop(0)
+        s = queue.popleft()
         for d in DIRS:
             t = succ(s, d)
             if t not in order:
@@ -218,9 +219,9 @@ def relabel(f, t):
 def tree_equal(t1, t2):
     """Do two machines denote the same tree?  Product reachability check."""
     seen = {(t1.init, t2.init)}
-    queue = [(t1.init, t2.init)]
+    queue = deque([(t1.init, t2.init)])
     while queue:
-        a, b = queue.pop(0)
+        a, b = queue.popleft()
         if t1.out[a] != t2.out[b]:
             return False
         for d in DIRS:
@@ -283,9 +284,9 @@ class RegularAntichain:
     def _trimmed(self):
         # states both reachable from init and co-reachable to an accept state
         reach = {self.init}
-        queue = [self.init]
+        queue = deque([self.init])
         while queue:
-            s = queue.pop(0)
+            s = queue.popleft()
             for d in DIRS:
                 t = self.delta.get((s, d))
                 if t is not None and t not in reach:
@@ -308,11 +309,11 @@ class RegularAntichain:
         for a in starts:
             # nonempty path from an accepting state back to an accepting one?
             seen = set()
-            queue = [self.delta.get((a, d)) for d in DIRS]
-            queue = [s for s in queue if s is not None and s in live]
+            queue = deque(s for s in (self.delta.get((a, d)) for d in DIRS)
+                          if s is not None and s in live)
             seen.update(queue)
             while queue:
-                s = queue.pop(0)
+                s = queue.popleft()
                 if s in self.accepting:
                     return False
                 for d in DIRS:

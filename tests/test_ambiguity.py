@@ -315,6 +315,32 @@ def test_tampered_witness_is_rejected():
     assert not witness_is_valid(free2, t, same_runs)
     broken_spine = type(w)(w.mode, w.vertex, w.spine[:1], w.runs)
     assert not witness_is_valid(free2, t, broken_spine)
+    # accepting, distinct runs of another automaton on another tree
+    co = zoo.zoo_complement_singleton(T_C)
+    spread = graft_antichain(T_C, T_A1, lstar_r_antichain())
+    w2 = classify(co, spread, 8).witness
+    assert w2.mode == INFINITE and witness_is_valid(co, spread, w2)
+    foreign = type(w2)(w2.mode, w2.vertex, w2.spine, w.runs)
+    assert not witness_is_valid(co, spread, foreign)
+
+
+def test_random_witnesses_are_valid_and_some_fork_below_the_vertex():
+    # the residual runs split at the nearest vertex with two winning moves;
+    # when that lies strictly below the witness vertex, both runs agree at
+    # the root's children and follow the strategy down to the fork
+    rng = random.Random(20261018)
+    below = 0
+    for _ in range(300):
+        a = random_pta(rng, ALPHA, rng.randint(2, 5), rng.randint(2, 8),
+                       rng.randint(0, 3))
+        t = random_tree(rng, ALPHA, rng.randint(1, 4))
+        v = classify(a, t, 3)
+        if v.kind not in (INFINITE, UNCOUNTABLE):
+            continue
+        assert witness_is_valid(a, t, v.witness)
+        m0, m1 = (r.machine for r in v.witness.runs)
+        below += all(m0.label(d) == m1.label(d) for d in "lr")
+    assert below > 0
 
 
 # ------------------------------------- derived verdicts on the letter zoo

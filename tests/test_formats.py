@@ -198,3 +198,4 @@ def test_dot_marks_owners_and_strategy():
     dot = formats.game_to_dot(arena, solve(arena))
     assert "shape=box" in dot and "shape=diamond" in dot
     assert "penwidth=2.5" in dot and "lightblue" in dot
+    assert formats.game_to_dot(arena).count("fillcolor") == 0

@@ -6,8 +6,7 @@ import pytest
 from treeamb.errors import IncompleteStrategy, MalformedArena
 from treeamb.games import (AUTOMATON, PATHFINDER, ParityGameArena,
                            has_cycle_with_max_color, solve, solve_oracle,
-                           strongly_connected_components, to_dot,
-                           verify_strategy)
+                           strongly_connected_components, verify_strategy)
 
 
 def arena(owner, color, edges, sinks=(), name="g", init=None):
@@ -181,14 +180,3 @@ def test_many_color_layers_do_not_overflow():
     g = arena(owner, color, edges)
     an = solve(g)
     assert an.region[AUTOMATON] == frozenset(range(n))
-
-
-def test_dot_output_mentions_shapes_and_strategy():
-    g = arena({"a": AUTOMATON, "p": PATHFINDER},
-              {"a": 2, "p": 1}, {"a": ["p"], "p": ["a"]})
-    an = solve(g)
-    dot = to_dot(g, an)
-    assert "shape=box" in dot and "shape=diamond" in dot
-    assert 'label="a:2"' in dot
-    assert "style=bold" in dot
-    assert to_dot(g).count("fillcolor") == 0

@@ -43,35 +43,39 @@ def random_pta(rng, alphabet, nstates, ntrans, maxcolor):
                                color).check()
 
 
+def owned(g, player):
+    return {v for v, o in g.arena.owner.items() if o == player}
+
+
 # ---------------------------------------------------------------- arenas
 
 def test_arena_deterministic_on_constant_tree():
     g = build_game(NOT_A1, T_C)
-    assert len(g.avert) == 1 and len(g.pvert) == 1
+    assert len(owned(g, AUTOMATON)) == 1 and len(owned(g, PATHFINDER)) == 1
     assert not g.arena.sinks
-    (av,) = g.avert
-    assert g.arena.owner[av] == AUTOMATON
+    (av,) = owned(g, AUTOMATON)
+    assert len(av) == 2      # (tree state, automaton state)
     assert g.arena.color[av] == 0
 
 
 def test_arena_initial_sink_when_no_transition():
     g = build_game(NOT_A1, T_A1)
-    assert len(g.avert) == 1 and len(g.pvert) == 0
-    assert set(g.arena.sinks) == set(g.avert)
+    assert len(owned(g, AUTOMATON)) == 1 and len(owned(g, PATHFINDER)) == 0
+    assert set(g.arena.sinks) == set(owned(g, AUTOMATON))
 
 
 def test_arena_union_normalized_to_single_initial():
     alpha = ("c", "a1", "a2")
     g = build_game(zoo_neg_union(2), constant_tree("c", alpha))
     # fresh initial plus one per summand
-    assert len(g.avert) == 3
-    assert len(g.pvert) == 2
-    assert g.arena.init in g.avert
+    assert len(owned(g, AUTOMATON)) == 3
+    assert len(owned(g, PATHFINDER)) == 2
+    assert g.arena.init in owned(g, AUTOMATON)
 
 
 def test_pathfinder_vertices_branch_left_then_right():
     g = build_game(NOT_A1, T_C)
-    (pv,) = g.pvert
+    (pv,) = owned(g, PATHFINDER)
     succs = g.arena.edges[pv]
     assert len(succs) == 2
     # both children of the constant tree are the same machine state
