@@ -485,19 +485,20 @@ def _find_witness(counts, mode):
         for comp in strongly_connected_components(sorted(allowed, key=str),
                                                   lambda v: succ[v]):
             members = frozenset(comp)
+            tops = frozenset(u for u in comp if a.color[u[1]] == c)
             for v in comp:
-                comp_of[v] = members
+                comp_of[v] = (members, tops)
         sccs_at[c] = (comp_of, succ)
     branching = counts.branching()
     for v in order:
         for c in colors:
             comp_of, succ = sccs_at[c]
-            S = comp_of.get(v)
-            if S is None:
+            entry = comp_of.get(v)
+            if entry is None:
                 continue
+            S, tops = entry
             if len(S) == 1 and v not in succ.get(v, ()):
                 continue
-            tops = {u for u in S if a.color[u[1]] == c}
             if not tops:
                 continue
             twin = sum(1 for cl, cr in counts.wmoves[v]

@@ -44,9 +44,25 @@ class ParityTreeAutomaton:
                 raise AlphabetMismatch(f"{self.name}: transition letter {a!r} not in alphabet")
         return self
 
+    # (delta, {a: {q: q's transitions on a, sorted}}); a class default, not
+    # a field.  It holds delta's own tuples and keys on existing states, so
+    # the index adds one small object per (q, a) and no copy of any move.
+    _moves_index = (None, {})
+
     def moves(self, q, a):
-        return sorted((ql, qr) for (p, b, ql, qr) in self.delta
-                      if p == q and b == a)
+        """The sorted (q_left, q_right) pairs of q's transitions on a, as a
+        fresh list.  The index behind it is built on the first call and
+        again whenever delta has been replaced."""
+        delta, index = self._moves_index
+        if delta is not self.delta:
+            index = {}
+            for tr in self.delta:
+                index.setdefault(tr[1], {}).setdefault(tr[0], []).append(tr)
+            for by_state in index.values():
+                for p, trs in by_state.items():
+                    by_state[p] = tuple(sorted(trs))
+            self._moves_index = (self.delta, index)
+        return [(ql, qr) for _, _, ql, qr in index.get(a, {}).get(q, ())]
 
     def max_color(self):
         return max(self.color.values(), default=0)

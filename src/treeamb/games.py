@@ -2,24 +2,24 @@
 
 Vertices are owned by the Automaton player ("A", wants the maximal color
 seen infinitely often to be even) or the Pathfinder ("P", wants it odd).
-A declared sink loses for its owner.  solve() is a recursive attractor
-decomposition; solve_oracle() recomputes both regions with progress
-measures and exists purely as an independent cross-check.
+A declared sink loses for its owner.
+
+solve() is Zielonka's attractor decomposition on dense integer ids.  The
+vertices and sink gadgets are interned once, in str order, so predecessor
+lists and attractor queues break ties in str order.  One liveness
+bytearray marks the current subgame, and an explicit frame stack replaces
+the recursion, so a deep color hierarchy needs no interpreter recursion.
+solve_oracle() recomputes both regions with progress measures on the
+original vertices and exists purely as an independent cross-check.
 """
 
-import sys
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import IncompleteStrategy, MalformedArena
 
 AUTOMATON = "A"
 PATHFINDER = "P"
-
-
-def opponent(player):
-    return PATHFINDER if player == AUTOMATON else AUTOMATON
 
 
 @dataclass
@@ -90,84 +90,138 @@ def _preds(vertices, edges):
                 p[w].append(v)
     return p
 
-def _attract(vertices, edges, preds, owner, player, target):
-    """Attractor of target for player inside the given vertex set.
 
-    Returns the attracted set and the player's pulling strategy on the
-    newly attracted vertices (first edge into the set wins ties).
-    preds is for the full arena and is filtered against vertices here.
+def _attract(seeds, player, succ, pred, owner, alive, choice):
+    """Attractor of seeds for player inside the live vertices.
+
+    alive[v] is 1 for a live vertex; this marks seeds and attracted vertices
+    2 and returns them in attraction order, seeds first.  A pulled vertex of
+    player's gets its first edge into the attractor as choice[v].
     """
-    attr = set(target)
-    strat = {}
+    for v in seeds:
+        alive[v] = 2
+    attr = list(seeds)
+    append = attr.append
     degree = {}
-    queue = deque(sorted(target, key=str))
-    while queue:
-        u = queue.popleft()
-        for v in preds[u]:
-            if v in attr or v not in vertices:
+    for u in attr:      # attr doubles as the BFS queue
+        for v in pred[u]:
+            if alive[v] != 1:
                 continue
             if owner[v] == player:
                 # choose the pulling edge before admitting v, so a self-loop
                 # can never masquerade as progress toward the target
-                strat[v] = next(w for w in edges[v] if w in attr and w in vertices)
-                attr.add(v)
-                queue.append(v)
+                for w in succ[v]:
+                    if alive[w] == 2:
+                        choice[v] = w
+                        break
+                alive[v] = 2
+                append(v)
+                continue
+            d = degree.get(v)
+            if d is None:
+                d = 0
+                for w in succ[v]:
+                    if alive[w]:
+                        d += 1
+            if d == 1:
+                alive[v] = 2
+                append(v)
             else:
-                if v not in degree:
-                    degree[v] = sum(1 for w in edges[v] if w in vertices)
-                degree[v] -= 1
-                if degree[v] == 0:
-                    attr.add(v)
-                    queue.append(v)
-    return attr, strat
+                degree[v] = d - 1
+    return attr
 
 
-def _zielonka(vertices, edges, preds, owner, color):
-    if not vertices:
-        return {AUTOMATON: set(), PATHFINDER: set()}, {AUTOMATON: {}, PATHFINDER: {}}
-    c = max(color[v] for v in vertices)
-    sigma = AUTOMATON if c % 2 == 0 else PATHFINDER
-    opp = opponent(sigma)
-    target = {v for v in vertices if color[v] == c}
-    attr, pull = _attract(vertices, edges, preds, owner, sigma, target)
-    sub_regions, sub_strats = _zielonka(vertices - attr, edges, preds, owner, color)
-    if not sub_regions[opp]:
-        strat = dict(sub_strats[sigma])
-        strat.update(pull)
-        for v in sorted(target, key=str):
-            if owner[v] == sigma and v not in strat:
-                strat[v] = next(w for w in edges[v] if w in vertices)
-        return ({sigma: set(vertices), opp: set()},
-                {sigma: strat, opp: {}})
-    trap, pull2 = _attract(vertices, edges, preds, owner, opp, sub_regions[opp])
-    regions2, strats2 = _zielonka(vertices - trap, edges, preds, owner, color)
-    opp_strat = dict(sub_strats[opp])
-    opp_strat.update(pull2)
-    opp_strat.update(strats2[opp])
-    return ({sigma: regions2[sigma], opp: regions2[opp] | trap},
-            {sigma: strats2[sigma], opp: opp_strat})
+def _zielonka(vertices, succ, pred, owner, color, choice):
+    """Winning vertex lists (Automaton's, Pathfinder's); vertices are all
+    the arena's ids.
 
-
-@contextmanager
-def _deep_recursion(n):
-    old = sys.getrecursionlimit()
-    if n > old:
-        sys.setrecursionlimit(n)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
+    The second recursive call of the decomposition is a tail call and runs
+    as the loop over a frame's shrinking vertex list; the first runs on an
+    explicit stack.  A suspended frame keeps the attractor it removed for
+    the subgame below it and the vertices it has won so far; only the
+    running frame holds its vertex list.  When a frame returns, its parent
+    makes the frame's vertices live again.  choice[v] ends as v's strategy
+    move whenever v lies in its owner's region: a move chosen in a subgame
+    whose result is discarded is chosen again when v is solved again.
+    """
+    alive = bytearray(b"\x01") * len(succ)
+    stack = []
+    won = ([], [])
+    while True:
+        if vertices:
+            c = max(map(color.__getitem__, vertices))
+            sigma = c & 1
+            target = [v for v in vertices if color[v] == c]
+            target.sort()
+            attr = _attract(target, sigma, succ, pred, owner, alive, choice)
+            for v in attr:
+                alive[v] = 0
+            stack.append((won, sigma, attr, len(target)))
+            won = ([], [])
+            vertices = [v for v in vertices if alive[v]]
+            continue
+        sub = won
+        while stack:
+            won, sigma, attr, k = stack.pop()
+            for part in (attr, *sub):
+                for v in part:
+                    alive[v] = 1
+            opp = 1 - sigma
+            if sub[opp]:
+                break
+            # sigma wins the whole frame, and any live move at a top-color
+            # vertex wins: a play through them infinitely often has maximal
+            # color c, any other play ends in the subgame sigma wins
+            for v in attr[:k]:
+                if owner[v] == sigma:
+                    choice[v] = next(w for w in succ[v] if alive[w])
+            won[sigma].extend(attr)
+            won[sigma].extend(sub[sigma])
+            sub = won
+        else:
+            return sub
+        trap = _attract(sorted(sub[opp]), opp, succ, pred, owner, alive,
+                        choice)
+        for v in trap:
+            alive[v] = 0
+        won[opp].extend(trap)
+        vertices = [v for v in attr if alive[v]]
+        vertices += [v for v in sub[sigma] if alive[v]]
 
 
 def solve(arena):
     """Winning regions and positional strategies, by attractor decomposition."""
     arena.check()
-    owner, color, edges, gadgets = _completed(arena)
-    vertices = set(owner)
-    preds = _preds(vertices, edges)
-    with _deep_recursion(10000 + 10 * len(vertices)):
-        regions, strats = _zielonka(vertices, edges, preds, owner, color)
-    return _project(arena, gadgets, regions, strats)
+    gadgets = {("__lost__", v): v for v in arena.sinks}
+    verts = sorted(arena.owner.keys() | gadgets.keys(), key=str)
+    n = len(verts)
+    nums = list(range(n))      # one int object per id, shared by every list
+    ids = dict(zip(verts, nums))
+    edges = arena.edges.get
+    succ = [tuple(map(ids.__getitem__, edges(v, ()))) for v in verts]
+    owner = bytearray([o == PATHFINDER for o in map(arena.owner.get, verts)])
+    color = list(map(arena.color.get, verts))
+    lost = bytearray(n)         # the sink gadgets
+    for g, v in gadgets.items():
+        i = ids[g]
+        owner[i] = arena.owner[v] == PATHFINDER
+        color[i] = 1 - owner[i]
+        succ[i] = (i,)
+        succ[ids[v]] = (i,)
+        lost[i] = 1
+    pred = [[] for _ in range(n)]
+    for v, ws in zip(nums, succ):
+        for w in ws:
+            pred[w].append(v)
+    choice = [None] * n
+    won = _zielonka(nums, succ, pred, owner, color, choice)
+    region, strategy = {}, {}
+    for p, player in enumerate((AUTOMATON, PATHFINDER)):
+        region[player] = frozenset(verts[v] for v in won[p] if not lost[v])
+        strategy[player] = {verts[v]: verts[choice[v]] for v in sorted(won[p])
+                            if owner[v] == p and not lost[v]
+                            and not lost[choice[v]]}
+    return WinningAnalysis(arena, region, strategy)
 
 
 def _project(arena, gadgets, regions, strats):
@@ -280,17 +334,21 @@ def solve_oracle(arena):
 # Strategy verification
 
 def strongly_connected_components(vertices, succ):
-    """Tarjan, iterative.  succ maps a vertex to an iterable of successors."""
+    """Tarjan, iterative.  succ maps a vertex to an iterable of successors.
+
+    Roots are tried in the order of vertices, which fixes the order of the
+    components; membership is tested against a set built once."""
     index = {}
     low = {}
     on_stack = set()
     stack = []
     sccs = []
     counter = [0]
+    members = set(vertices)
     for root in vertices:
         if root in index:
             continue
-        work = [(root, iter([w for w in succ(root) if w in vertices]))]
+        work = [(root, iter([w for w in succ(root) if w in members]))]
         index[root] = low[root] = counter[0]
         counter[0] += 1
         stack.append(root)
@@ -304,7 +362,7 @@ def strongly_connected_components(vertices, succ):
                     counter[0] += 1
                     stack.append(w)
                     on_stack.add(w)
-                    work.append((w, iter([u for u in succ(w) if u in vertices])))
+                    work.append((w, iter([u for u in succ(w) if u in members])))
                     advanced = True
                     break
                 elif w in on_stack:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -169,10 +170,25 @@ def test_scc_and_cycle_helpers():
     assert not has_cycle_with_max_color({4}, succ, color, 3)
 
 
-def test_many_color_layers_do_not_overflow():
-    # isolated self-loops with all-distinct colors force one recursion
-    # level per vertex in the decomposition; 1500 levels exceed the
-    # default interpreter recursion limit
+def test_ties_break_in_str_order():
+    # ids follow str order ("10" < "2"), so 10 is pulled toward vertex 1
+    # before 2 is, and 0's first edge into the attractor is 0 -> 10
+    owner = {v: AUTOMATON for v in (0, 1, 2, 3, 10)}
+    color = {0: 0, 1: 2, 2: 0, 3: 0, 10: 0}
+    edges = {0: [2, 10], 10: [1], 3: [1], 2: [3], 1: [1]}
+    an = solve(arena(owner, color, edges))
+    assert an.region[AUTOMATON] == {0, 1, 2, 3, 10}
+    assert an.strategy[AUTOMATON][0] == 10
+
+
+def test_many_color_layers_do_not_overflow(monkeypatch):
+    # one decomposition layer per color: isolated self-loops with distinct
+    # colors, and a chain whose colors strictly decrease toward its final
+    # self-loop, with owners alternating; both go deeper than the default
+    # interpreter recursion limit
+    def refuse(limit):
+        raise AssertionError("solve changed the recursion limit")
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     n = 1500
     owner = {v: AUTOMATON for v in range(n)}
     color = {v: 2 * v for v in range(n)}
@@ -180,3 +196,12 @@ def test_many_color_layers_do_not_overflow():
     g = arena(owner, color, edges)
     an = solve(g)
     assert an.region[AUTOMATON] == frozenset(range(n))
+    n = 3000
+    owner = {v: (AUTOMATON, PATHFINDER)[v % 2] for v in range(n)}
+    color = {v: n - v for v in range(n)}
+    edges = {v: (min(v + 1, n - 1),) for v in range(n)}
+    an = solve(arena(owner, color, edges))
+    # every play ends on the self-loop at n - 1, whose color 1 is odd
+    assert an.region[PATHFINDER] == frozenset(range(n))
+    assert an.strategy[PATHFINDER] == {v: min(v + 1, n - 1)
+                                       for v in range(1, n, 2)}
