@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .automata import (ParityTreeAutomaton, conjunction_dpw_tuple,
                        restrict_initials)
 from .errors import AlphabetMismatch, InconsistentRun, NotMember
-from .games import (AUTOMATON, PATHFINDER, ParityGameArena, solve,
+from .games import (AUTOMATON, PATHFINDER, ParityGameArena, bfs, solve,
                     strongly_connected_components)
 from .membership import RegularRun, _product_arena, run_is_accepting
 from .trees import build_tree, tree_equal
@@ -69,9 +69,8 @@ def _emptiness_game(a):
                 owner[w] = PATHFINDER
                 color[w] = 0
                 edges[w] = (("q", tr[2]), ("q", tr[3]))
-    arena = ParityGameArena(f"empty[{a.name}]", owner, color, edges,
-                            frozenset(sinks))
-    return arena.check()
+    return ParityGameArena(f"empty[{a.name}]", owner, color, edges,
+                           frozenset(sinks))
 
 
 def emptiness(a):
@@ -141,14 +140,12 @@ def k_distinct_runs_automaton(a, k):
         ds = dpw.delta[(dpw.init, letter_of(trackers, checkers))]
         initials.add((trackers, checkers, ds))
 
-    states = set()
+    states = []
     delta = set()
-    todo = list(sorted(initials, key=str))
-    while todo:
-        st = todo.pop()
-        if st in states:
-            continue
-        states.add(st)
+    kids = {}
+    for st in bfs(sorted(initials, key=str), kids.pop):
+        states.append(st)
+        out = kids[st] = []
         trackers, checkers, ds = st
         for x in a.alphabet:
             moves = [a.moves(q, x) for q in trackers]
@@ -164,9 +161,7 @@ def k_distinct_runs_automaton(a, k):
                     lst = (ltr, lch, dpw.delta[(ds, letter_of(ltr, lch))])
                     rst = (rtr, rch, dpw.delta[(ds, letter_of(rtr, rch))])
                     delta.add((st, x, lst, rst))
-                    for child in (lst, rst):
-                        if child not in states:
-                            todo.append(child)
+                    out += (lst, rst)
     color = {st: dpw.color[st[2]] for st in states}
     return ParityTreeAutomaton(f"{k}-distinct[{a.name}]", a.alphabet,
                                frozenset(states), frozenset(initials),
@@ -206,38 +201,28 @@ class _RunCounts:
         # winning moves of a winning Automaton vertex: the Pathfinder
         # successors inside W, given as their (left child, right child)
         self.wmoves = {}
-        for v in arena.vertices:
+        for v in arena.owner:
             if len(v) == 2 and v in won:
                 self.wmoves[v] = tuple(tuple(arena.edges[pv])
                                        for pv in arena.edges[v] if pv in won)
         self.succ = {v: sorted({c for cl, cr in ms for c in (cl, cr)}, key=str)
                      for v, ms in self.wmoves.items()}
-        self.reach = set()
-        todo = list(self.roots)
-        while todo:
-            v = todo.pop()
-            if v in self.reach:
-                continue
-            self.reach.add(v)
-            todo += [u for u in self.succ[v] if u not in self.reach]
+        self.reach = set(bfs(self.roots, self.succ.__getitem__))
         self._branching = None
         self._cyclic = None
         self._counts = {}      # cap -> {vertex: saturated N(vertex)}
 
     def branching(self):
-        """Vertices with a genuine choice at or below them (least fixpoint)."""
+        """{v: does a genuine choice lie at or below v?}, i.e. does v reach a
+        vertex with two winning moves; one backward walk from those."""
         if self._branching is None:
-            flag = {v: len(m) >= 2 for v, m in self.wmoves.items()}
-            changed = True
-            while changed:
-                changed = False
-                for v, ms in self.wmoves.items():
-                    if flag[v]:
-                        continue
-                    if any(flag[c] for cl, cr in ms for c in (cl, cr)):
-                        flag[v] = True
-                        changed = True
-            self._branching = flag
+            pred = {}
+            for v, cs in self.succ.items():
+                for c in cs:
+                    pred.setdefault(c, []).append(v)
+            forks = [v for v, ms in self.wmoves.items() if len(ms) >= 2]
+            hit = set(bfs(forks, lambda v: pred.get(v, ())))
+            self._branching = {v: v in hit for v in self.wmoves}
         return self._branching
 
     def cyclic(self):
@@ -384,23 +369,13 @@ def _succ_within(counts, allowed):
 def _shortest_path(succ, sources, targets):
     """BFS path (vertex list) from any source to any target, or None."""
     targets = set(targets)
-    seen = {}
-    queue = list(sources)
-    for s in queue:
-        seen.setdefault(s, None)
-    i = 0
-    while i < len(queue):
-        u = queue[i]
-        i += 1
+    parent = {}
+    for u in bfs(sources, lambda v: succ.get(v, ()), parent):
         if u in targets:
             path = [u]
-            while seen[path[-1]] is not None:
-                path.append(seen[path[-1]])
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
             return path[::-1]
-        for w in succ.get(u, ()):
-            if w not in seen:
-                seen[w] = u
-                queue.append(w)
     return None
 
 

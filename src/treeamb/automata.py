@@ -17,6 +17,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import AlphabetMismatch, MalformedArena, UnknownState
+from .games import bfs
 from .trees import _merge_alphabets
 
 
@@ -146,14 +147,10 @@ def conjunction_dpw(d1, d2):
         return e_hit, f_hit
 
     init = (tuple(range(k)), 0, 0)
-    states = set()
+    states = []
     delta = {}
-    todo = [init]
-    while todo:
-        st = todo.pop()
-        if st in states:
-            continue
-        states.add(st)
+    for st in bfs([init], lambda st: [delta[(st, a)] for a in letters]):
+        states.append(st)
         perm = st[0]
         for a in letters:
             e_hit, f_hit = hits(a)
@@ -161,10 +158,7 @@ def conjunction_dpw(d1, d2):
             pos_f = max((p + 1 for p, i in enumerate(perm) if i in f_hit), default=0)
             moved = tuple(i for i in perm if i in f_hit)
             kept = tuple(i for i in perm if i not in f_hit)
-            nxt = (moved + kept, pos_e, pos_f)
-            delta[(st, a)] = nxt
-            if nxt not in states:
-                todo.append(nxt)
+            delta[(st, a)] = (moved + kept, pos_e, pos_f)
     color = {(perm, e, f): (2 * f if f >= e else 2 * e - 1)
              for (perm, e, f) in states}
     return DetParityWordAutomaton(
@@ -185,22 +179,14 @@ def conjunction_dpw_tuple(domains):
     bridge = conjunction_dpw(prev.max_color(), last)
     letters = tuple(itertools.product(*(range(d + 1) for d in domains)))
     init = (prev.init, bridge.init)
-    states = set()
+    states = []
     delta = {}
-    todo = [init]
-    while todo:
-        st = todo.pop()
-        if st in states:
-            continue
-        states.add(st)
+    for st in bfs([init], lambda st: [delta[(st, a)] for a in letters]):
+        states.append(st)
         p, b = st
         for a in letters:
             p2 = prev.delta[(p, a[:-1])]
-            b2 = bridge.delta[(b, (prev.color[p2], a[-1]))]
-            nxt = (p2, b2)
-            delta[(st, a)] = nxt
-            if nxt not in states:
-                todo.append(nxt)
+            delta[(st, a)] = (p2, bridge.delta[(b, (prev.color[p2], a[-1]))])
     color = {(p, b): bridge.color[b] for (p, b) in states}
     return DetParityWordAutomaton(
         "conj" + str(domains), letters, frozenset(states), init, delta,
@@ -268,27 +254,20 @@ def intersect(a1, a2):
 
     initials = frozenset((q1, q2, advance(dpw.init, q1, q2))
                          for q1 in a1.initials for q2 in a2.initials)
-    moves1 = {}
-    for q, a, l, r in a1.delta:
-        moves1.setdefault((q, a), []).append((l, r))
-    moves2 = {}
-    for q, a, l, r in a2.delta:
-        moves2.setdefault((q, a), []).append((l, r))
-    states = set(initials)
+    states = []
     delta = set()
-    todo = list(initials)
-    while todo:
-        q1, q2, p = todo.pop()
+    kids = {}
+    for st in bfs(initials, kids.pop):
+        states.append(st)
+        out = kids[st] = []
+        q1, q2, p = st
         for a in a1.alphabet:
-            for l1, r1 in moves1.get((q1, a), ()):
-                for l2, r2 in moves2.get((q2, a), ()):
+            for l1, r1 in a1.moves(q1, a):
+                for l2, r2 in a2.moves(q2, a):
                     left = (l1, l2, advance(p, l1, l2))
                     right = (r1, r2, advance(p, r1, r2))
-                    delta.add(((q1, q2, p), a, left, right))
-                    for s in (left, right):
-                        if s not in states:
-                            states.add(s)
-                            todo.append(s)
+                    delta.add((st, a, left, right))
+                    out += (left, right)
     color = {(q1, q2, p): dpw.color[p] for (q1, q2, p) in states}
     return ParityTreeAutomaton(
         f"({a1.name}&{a2.name})", a1.alphabet, frozenset(states), initials,
@@ -310,15 +289,12 @@ def moore_reduction(a2, machine):
     alphabet = tuple(machine.inputs)
     states = frozenset((q, m) for q in a2.states for m in machine.states)
     initials = frozenset((q, machine.init) for q in a2.initials)
-    moves2 = {}
-    for q, b, l, r in a2.delta:
-        moves2.setdefault((q, b), []).append((l, r))
     delta = set()
     for q, m in states:
         for a in alphabet:
             m2 = machine.delta[(m, a)]
             b = machine.out[m2]
-            for l, r in moves2.get((q, b), ()):
+            for l, r in a2.moves(q, b):
                 delta.add((((q, m)), a, (l, m2), (r, m2)))
     color = {(q, m): a2.color[q] for (q, m) in states}
     return ParityTreeAutomaton(
@@ -342,18 +318,10 @@ def det_pta_for_tree(t, alphabet=None):
 
 
 def _reach(initials, delta):
-    seen = set(initials)
-    todo = list(initials)
     moves = {}
     for q, _, l, r in delta:
         moves.setdefault(q, []).extend((l, r))
-    while todo:
-        q = todo.pop()
-        for s in moves.get(q, ()):
-            if s not in seen:
-                seen.add(s)
-                todo.append(s)
-    return seen
+    return set(bfs(initials, lambda q: moves.get(q, ())))
 
 
 def reachable_states(a):

@@ -31,10 +31,6 @@ class ParityGameArena:
     sinks: frozenset
     init: object = None
 
-    @property
-    def vertices(self):
-        return set(self.owner)
-
     def check(self):
         for v, o in self.owner.items():
             if o not in (AUTOMATON, PATHFINDER):
@@ -331,7 +327,30 @@ def solve_oracle(arena):
 
 
 # --------------------------------------------------------------------------
-# Strategy verification
+# Graph walks and strategy verification
+
+def bfs(starts, succ, parent=None):
+    """Yield each vertex reachable from starts once, in breadth-first order.
+
+    Repeated starts are yielded once, in first-seen order.  succ(v) is
+    called only after v has been yielded, so the loop body may compute v's
+    successors itself; leaving the loop early leaves the rest unexplored.
+    If parent is a dict, it receives each vertex's BFS predecessor, None
+    for a start; once iteration ends, its keys are the reach set.
+    """
+    seen = {} if parent is None else parent
+    queue = []
+    for v in starts:
+        if v not in seen:
+            seen[v] = None
+            queue.append(v)
+    for v in queue:     # the queue grows while it is walked
+        yield v
+        for w in succ(v):
+            if w not in seen:
+                seen[w] = v
+                queue.append(w)
+
 
 def strongly_connected_components(vertices, succ):
     """Tarjan, iterative.  succ maps a vertex to an iterable of successors.

@@ -17,15 +17,14 @@ exactly what the sink does.  The leads() simulator below re-creates the
 invalid-move device where it is actually needed.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 from .automata import single_initial
 from .errors import (AlphabetMismatch, IncompleteStrategy, InconsistentRun,
                      IsMember, NotMember, PreconditionViolated, StateMismatch)
-from .games import (AUTOMATON, PATHFINDER, ParityGameArena,
+from .games import (AUTOMATON, PATHFINDER, ParityGameArena, bfs,
                     has_cycle_with_max_color, solve)
-from .trees import (DIRS, RegularTree, build_tree, check_path, graft_node,
+from .trees import (RegularTree, build_tree, check_path, graft_node,
                     tree_equal)
 
 
@@ -40,10 +39,7 @@ def _product_arena(a, t, name):
     owner, color, edges = {}, {}, {}
     sinks = set()
     inits = [(t.init, q) for q in sorted(a.initials, key=str)]
-    queue = deque(inits)
-    seen = set(queue)
-    while queue:
-        v = queue.popleft()
+    for v in bfs(inits, edges.__getitem__):
         if len(v) == 2:
             m, q = v
             owner[v] = AUTOMATON
@@ -57,13 +53,9 @@ def _product_arena(a, t, name):
             color[v] = 0
             succ = ((t.next[(m, "l")], ql), (t.next[(m, "r")], qr))
         edges[v] = succ
-        for w in succ:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
     init = inits[0] if len(inits) == 1 else None
     return ParityGameArena(name, owner, color, edges,
-                           frozenset(sinks), init).check(), inits
+                           frozenset(sinks), init), inits
 
 
 @dataclass
@@ -124,20 +116,18 @@ def run_check(run):
     if mach.out[mach.init] not in a.initials:
         raise InconsistentRun(
             f"{run.name}: root state {mach.out[mach.init]!r} is not initial")
-    seen = {(mach.init, t.init)}
-    queue = deque([(mach.init, t.init)])
-    while queue:
-        r, m = queue.popleft()
+
+    def succ(p):
+        r, m = p
+        return ((mach.next[(r, "l")], t.next[(m, "l")]),
+                (mach.next[(r, "r")], t.next[(m, "r")]))
+
+    for r, m in bfs([(mach.init, t.init)], succ):
         trans = (mach.out[r], t.out[m],
                  mach.out[mach.next[(r, "l")]], mach.out[mach.next[(r, "r")]])
         if trans not in a.delta:
             raise InconsistentRun(
                 f"{run.name}: {trans!r} is not a transition of {a.name}")
-        for d in DIRS:
-            p = (mach.next[(r, d)], t.next[(m, d)])
-            if p not in seen:
-                seen.add(p)
-                queue.append(p)
     return run
 
 
@@ -150,20 +140,12 @@ def run_is_accepting(run):
     """
     run_check(run)
     a, mach = run.automaton, run.machine
-    reach = {mach.init}
-    queue = deque([mach.init])
-    while queue:
-        s = queue.popleft()
-        for d in DIRS:
-            w = mach.next[(s, d)]
-            if w not in reach:
-                reach.add(w)
-                queue.append(w)
-    colors = {s: a.color[mach.out[s]] for s in reach}
 
     def succ(s):
         return (mach.next[(s, "l")], mach.next[(s, "r")])
 
+    reach = list(bfs([mach.init], succ))
+    colors = {s: a.color[mach.out[s]] for s in reach}
     for c in sorted({v for v in colors.values() if v % 2 == 1}):
         if has_cycle_with_max_color(reach, succ, colors, c):
             return False

@@ -8,10 +8,10 @@ so structural equality of the underlying graphs is meaningful but semantic
 equality should always go through tree_equal.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import AlphabetMismatch, AntichainViolation, UnknownState
+from .games import bfs
 
 DIRS = ("l", "r")
 
@@ -80,17 +80,15 @@ def build_tree(init, succ, out, alphabet, name="tree"):
     succ(state, dir) and out(state) may be defined on any hashable state
     space; only the part reachable from init is kept.
     """
-    order = {init: 0}
-    queue = deque([init])
+    order = {}
+    kids = {}
+    for s in bfs([init], kids.__getitem__):
+        order[s] = len(order)
+        kids[s] = succ(s, "l"), succ(s, "r")
     nxt = {}
-    while queue:
-        s = queue.popleft()
-        for d in DIRS:
-            t = succ(s, d)
-            if t not in order:
-                order[t] = len(order)
-                queue.append(t)
-            nxt[(order[s], d)] = order[t]
+    for s, (l, r) in kids.items():
+        nxt[(order[s], "l")] = order[l]
+        nxt[(order[s], "r")] = order[r]
     outs = {i: out(s) for s, i in order.items()}
     return RegularTree(name, tuple(alphabet), 0, nxt, outs)
 
@@ -218,18 +216,13 @@ def relabel(f, t):
 
 def tree_equal(t1, t2):
     """Do two machines denote the same tree?  Product reachability check."""
-    seen = {(t1.init, t2.init)}
-    queue = deque([(t1.init, t2.init)])
-    while queue:
-        a, b = queue.popleft()
-        if t1.out[a] != t2.out[b]:
-            return False
-        for d in DIRS:
-            p = (t1.next[(a, d)], t2.next[(b, d)])
-            if p not in seen:
-                seen.add(p)
-                queue.append(p)
-    return True
+    def succ(p):
+        a, b = p
+        return ((t1.next[(a, "l")], t2.next[(b, "l")]),
+                (t1.next[(a, "r")], t2.next[(b, "r")]))
+
+    return all(t1.out[a] == t2.out[b]
+               for a, b in bfs([(t1.init, t2.init)], succ))
 
 
 def unfold(t, depth):
@@ -281,47 +274,31 @@ class RegularAntichain:
                 return False
         return s in self.accepting
 
+    def _succ(self, s):
+        return [t for t in (self.delta.get((s, d)) for d in DIRS)
+                if t is not None]
+
     def _trimmed(self):
         # states both reachable from init and co-reachable to an accept state
-        reach = {self.init}
-        queue = deque([self.init])
-        while queue:
-            s = queue.popleft()
-            for d in DIRS:
-                t = self.delta.get((s, d))
-                if t is not None and t not in reach:
-                    reach.add(t)
-                    queue.append(t)
-        coreach = set(a for a in self.accepting if a in reach)
-        changed = True
-        while changed:
-            changed = False
-            for (s, d), t in self.delta.items():
-                if s in reach and t in coreach and s not in coreach:
-                    coreach.add(s)
-                    changed = True
-        return coreach
+        reach = set(bfs([self.init], self._succ))
+        pred = {}
+        for (s, _), t in self.delta.items():
+            if s in reach:
+                pred.setdefault(t, []).append(s)
+        return set(bfs([a for a in self.accepting if a in reach],
+                       lambda t: pred.get(t, ())))
 
     def is_antichain(self):
         """True iff no accepted node is a proper prefix of another."""
         live = self._trimmed()
-        starts = [a for a in self.accepting if a in live]
-        for a in starts:
-            # nonempty path from an accepting state back to an accepting one?
-            seen = set()
-            queue = deque(s for s in (self.delta.get((a, d)) for d in DIRS)
-                          if s is not None and s in live)
-            seen.update(queue)
-            while queue:
-                s = queue.popleft()
-                if s in self.accepting:
-                    return False
-                for d in DIRS:
-                    t = self.delta.get((s, d))
-                    if t is not None and t in live and t not in seen:
-                        seen.add(t)
-                        queue.append(t)
-        return True
+
+        def succ(s):
+            return [t for t in self._succ(s) if t in live]
+
+        # a nonempty path from an accepting state back to an accepting one?
+        return not any(s in self.accepting
+                       for a in self.accepting if a in live
+                       for s in bfs(succ(a), succ))
 
     def check(self):
         if self.init not in self.states:

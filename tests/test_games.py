@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
+from test_membership import random_pta, random_tree
+from treeamb.ambiguity import _RunCounts
 from treeamb.errors import IncompleteStrategy, MalformedArena
-from treeamb.games import (AUTOMATON, PATHFINDER, ParityGameArena,
+from treeamb.games import (AUTOMATON, PATHFINDER, ParityGameArena, bfs,
                            has_cycle_with_max_color, solve, solve_oracle,
                            strongly_connected_components, verify_strategy)
 
@@ -205,3 +207,52 @@ def test_many_color_layers_do_not_overflow(monkeypatch):
     assert an.region[PATHFINDER] == frozenset(range(n))
     assert an.strategy[PATHFINDER] == {v: min(v + 1, n - 1)
                                        for v in range(1, n, 2)}
+
+
+def test_bfs_order_parents_and_lazy_successors():
+    graph = {0: [1, 2], 1: [3], 2: [3, 0], 3: [], 4: [0]}
+    assert list(bfs([0], graph.__getitem__)) == [0, 1, 2, 3]
+    # repeated starts are yielded once, in first-seen order
+    assert list(bfs([2, 0, 2], graph.__getitem__)) == [2, 0, 3, 1]
+    parent = {}
+    assert list(bfs([4], graph.__getitem__, parent)) == [4, 0, 1, 2, 3]
+    assert parent == {4: None, 0: 4, 1: 0, 2: 0, 3: 1}
+    # the loop body may supply a vertex's successors after it is yielded
+    edges = {}
+    for v in bfs([0], edges.__getitem__):
+        edges[v] = [w for w in (2 * v + 1, 2 * v + 2) if w < 7]
+    assert list(edges) == list(range(7))
+    # leaving early leaves the rest unexplored
+    asked = []
+
+    def succ(v):
+        asked.append(v)
+        return graph[v]
+
+    for v in bfs([0], succ):
+        if v == 1:
+            break
+    assert asked == [0]
+
+
+def test_branching_is_reaching_two_winning_moves():
+    # branching() agrees with a naive closure: a winning vertex is
+    # branching iff it reaches, through winning moves, one with two of them
+    alpha = ("c", "a1")
+    rng = random.Random(4)
+    seen = set()
+    for _ in range(300):
+        a = random_pta(rng, alpha, rng.randrange(1, 5), 5, 2)
+        t = random_tree(rng, alpha, rng.randrange(1, 4))
+        counts = _RunCounts(a, t)
+        for v in counts.wmoves:
+            reach, todo = {v}, [v]
+            while todo:
+                for w in counts.succ[todo.pop()]:
+                    if w not in reach:
+                        reach.add(w)
+                        todo.append(w)
+            naive = any(len(counts.wmoves[u]) >= 2 for u in reach)
+            assert counts.branching()[v] == naive
+            seen.add(naive)
+    assert seen == {False, True}
