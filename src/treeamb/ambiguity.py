@@ -100,8 +100,8 @@ def nonempty_states(a):
 
 # ------------------------------------------------------ k distinct runs
 
-def k_distinct_runs_automaton(a, k):
-    """Automaton for "a has at least k pairwise distinct accepting runs".
+def _k_distinct(a, k):
+    """The k-distinct-runs automaton on dense int states, and their names.
 
     k trackers each follow one candidate run; a checker per tracker pair
     starts searching and must eventually discharge, which it may do
@@ -111,6 +111,10 @@ def k_distinct_runs_automaton(a, k):
     co-Buechi coordinate (search = 1, discharged = 0, maxed over the
     checkers) through the parity-conjunction construction; the product is
     built breadth-first so only the reachable part materializes.
+
+    Product state names[i] = (trackers, checkers, DPW state) is numbered i
+    when first discovered, the initial states first in str order, so the
+    int automaton hashes and prints its states cheaply.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -119,7 +123,7 @@ def k_distinct_runs_automaton(a, k):
     dpw = conjunction_dpw_tuple((d,) * k + (1,))
 
     def letter_of(trackers, checkers):
-        cob = max((1 for c in checkers if c == "s"), default=0)
+        cob = 1 if "s" in checkers else 0
         return tuple(a.color[q] for q in trackers) + (cob,)
 
     def checker_options(trackers, checkers):
@@ -140,11 +144,11 @@ def k_distinct_runs_automaton(a, k):
         ds = dpw.delta[(dpw.init, letter_of(trackers, checkers))]
         initials.add((trackers, checkers, ds))
 
-    states = []
+    ids = {st: i for i, st in enumerate(sorted(initials, key=str))}
     delta = set()
     kids = {}
-    for st in bfs(sorted(initials, key=str), kids.pop):
-        states.append(st)
+    for st in bfs(list(ids), kids.pop):
+        i = ids[st]
         out = kids[st] = []
         trackers, checkers, ds = st
         for x in a.alphabet:
@@ -160,19 +164,35 @@ def k_distinct_runs_automaton(a, k):
                     rch = tuple(s for _, s in assign)
                     lst = (ltr, lch, dpw.delta[(ds, letter_of(ltr, lch))])
                     rst = (rtr, rch, dpw.delta[(ds, letter_of(rtr, rch))])
-                    delta.add((st, x, lst, rst))
+                    delta.add((i, x, ids.setdefault(lst, len(ids)),
+                               ids.setdefault(rst, len(ids))))
                     out += (lst, rst)
-    color = {st: dpw.color[st[2]] for st in states}
-    return ParityTreeAutomaton(f"{k}-distinct[{a.name}]", a.alphabet,
-                               frozenset(states), frozenset(initials),
-                               frozenset(delta), color).check()
+    names = list(ids)
+    color = {i: dpw.color[st[2]] for i, st in enumerate(names)}
+    b = ParityTreeAutomaton(f"{k}-distinct[{a.name}]", a.alphabet,
+                            frozenset(range(len(names))),
+                            frozenset(range(len(initials))), frozenset(delta),
+                            color)
+    return b.check(), names
+
+
+def k_distinct_runs_automaton(a, k):
+    """Automaton for "a has at least k pairwise distinct accepting runs",
+    on the structural product states (trackers, checkers, DPW state); see
+    _k_distinct for the construction."""
+    b, names = _k_distinct(a, k)
+    return ParityTreeAutomaton(
+        b.name, b.alphabet, frozenset(names),
+        frozenset(names[i] for i in b.initials),
+        frozenset((names[p], x, names[l], names[r]) for p, x, l, r in b.delta),
+        {names[i]: c for i, c in b.color.items()}).check()
 
 
 def is_k_ambiguous(a, k):
     """True iff no tree at all has more than k distinct accepting runs."""
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    return emptiness(k_distinct_runs_automaton(a, k + 1)) is None
+    return emptiness(_k_distinct(a, k + 1)[0]) is None
 
 
 # ------------------------------------------------------- counting core

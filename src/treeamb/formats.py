@@ -24,15 +24,14 @@ def token_map(items):
     """Canonical printable name for each item (see module docstring)."""
     items = sorted(items, key=str)
     toks = [str(x) for x in items]
-    if len(set(toks)) == len(toks) and \
-            all(t and not any(ch.isspace() for ch in t) for t in toks):
+    if len(set(toks)) == len(toks) and all(t.split() == [t] for t in toks):
         return {x: str(x) for x in items}
     return {x: f"q{i}" for i, x in enumerate(items)}
 
 
 def _check_symbols(symbols, what):
     for s in symbols:
-        if not isinstance(s, str) or not s or any(ch.isspace() for ch in s):
+        if not isinstance(s, str) or s.split() != [s]:
             raise ValueError(f"{what} {s!r} is not serializable")
     return tuple(symbols)
 

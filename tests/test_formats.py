@@ -93,6 +93,14 @@ def test_unprintable_states_renamed_stably():
     b = formats.parse_pta(text, "pairy.pta")
     assert formats.serialize_pta(b) == text
     assert len(b.states) == 2 and b.max_color() == 1
+    # a str state holding non-ASCII whitespace is renamed as well
+    nb = ParityTreeAutomaton(
+        "nbsp", ("c",), frozenset(["p", "a\xa0b"]), frozenset(["p"]),
+        frozenset([("p", "c", "a\xa0b", "a\xa0b"), ("a\xa0b", "c", "p", "p")]),
+        {"p": 0, "a\xa0b": 1}).check()
+    text = formats.serialize_pta(nb)
+    assert "\xa0" not in text and "state q0" in text
+    assert formats.serialize_pta(formats.parse_pta(text, "nbsp.pta")) == text
 
 
 def test_numeric_state_tokens_sort_as_strings():
