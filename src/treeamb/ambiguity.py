@@ -122,9 +122,12 @@ def _k_distinct(a, k):
     d = a.max_color()
     dpw = conjunction_dpw_tuple((d,) * k + (1,))
 
-    def letter_of(trackers, checkers):
-        cob = 1 if "s" in checkers else 0
-        return tuple(a.color[q] for q in trackers) + (cob,)
+    def colors(trackers):
+        return tuple(a.color[q] for q in trackers)
+
+    def letter(cols, checkers):
+        """DPW letter: tracker colors, then 1 while any checker searches."""
+        return cols + (1 if "s" in checkers else 0,)
 
     def checker_options(trackers, checkers):
         """Per-pair child assignments: list of (left, right) label lists."""
@@ -141,7 +144,7 @@ def _k_distinct(a, k):
     initials = set()
     for trackers in itertools.product(sorted(a.initials, key=str), repeat=k):
         checkers = ("s",) * len(pairs)
-        ds = dpw.delta[(dpw.init, letter_of(trackers, checkers))]
+        ds = dpw.delta[(dpw.init, letter(colors(trackers), checkers))]
         initials.add((trackers, checkers, ds))
 
     ids = {st: i for i, st in enumerate(sorted(initials, key=str))}
@@ -159,11 +162,12 @@ def _k_distinct(a, k):
             for combo in itertools.product(*moves):
                 ltr = tuple(m[0] for m in combo)
                 rtr = tuple(m[1] for m in combo)
+                lcol, rcol = colors(ltr), colors(rtr)
                 for assign in itertools.product(*copts):
                     lch = tuple(s for s, _ in assign)
                     rch = tuple(s for _, s in assign)
-                    lst = (ltr, lch, dpw.delta[(ds, letter_of(ltr, lch))])
-                    rst = (rtr, rch, dpw.delta[(ds, letter_of(rtr, rch))])
+                    lst = (ltr, lch, dpw.delta[(ds, letter(lcol, lch))])
+                    rst = (rtr, rch, dpw.delta[(ds, letter(rcol, rch))])
                     delta.add((i, x, ids.setdefault(lst, len(ids)),
                                ids.setdefault(rst, len(ids))))
                     out += (lst, rst)

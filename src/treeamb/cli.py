@@ -31,35 +31,13 @@ _PARSERS = {
 }
 
 
-def _read(path):
-    try:
-        with open(path) as fh:
-            return fh.read()
-    except OSError as e:
-        raise ParseError(path, 0, f"cannot read file: {e.strerror}")
-
-
 def _load(path, kind):
-    return _PARSERS[kind](_read(path), path)
+    return _PARSERS[kind](formats.read_file(path), path)
 
 
-def _write(path, text):
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
-def _emit_pta(a, out):
-    text = formats.serialize_pta(a)
+def _emit(text, out):
     if out:
-        _write(out, text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_mtree(t, out):
-    text = formats.serialize_mtree(t)
-    if out:
-        _write(out, text)
+        formats.write_file(out, text)
     else:
         sys.stdout.write(text)
 
@@ -115,31 +93,30 @@ def _cmd_empty(args):
         print("empty")
         return 0
     if args.witness:
-        _write(args.witness, formats.serialize_mtree(w))
+        formats.write_file(args.witness, formats.serialize_mtree(w))
     print("nonempty")
     return 1
 
 
 def _cmd_construct(args):
     if args.op == "union":
-        _emit_pta(union(_load(args.inputs[0], ".pta"),
-                        _load(args.inputs[1], ".pta")), args.out)
+        a = union(_load(args.inputs[0], ".pta"), _load(args.inputs[1], ".pta"))
     elif args.op == "intersect":
-        _emit_pta(intersect(_load(args.inputs[0], ".pta"),
-                            _load(args.inputs[1], ".pta")), args.out)
+        a = intersect(_load(args.inputs[0], ".pta"),
+                      _load(args.inputs[1], ".pta"))
     elif args.op == "single-init":
-        _emit_pta(single_initial(_load(args.inputs[0], ".pta")), args.out)
+        a = single_initial(_load(args.inputs[0], ".pta"))
     elif args.op == "restrict":
         a = _load(args.inputs[0], ".pta")
         qs = frozenset(args.inputs[1:])
         if not qs:
             raise ParseError(args.inputs[0], 0,
                              "restrict needs at least one state id")
-        _emit_pta(restrict_initials(a, qs), args.out)
+        a = restrict_initials(a, qs)
     elif args.op == "reduce":
         a2 = _load(args.inputs[0], ".pta")
         m = _load(args.inputs[1], ".moore")
-        _emit_pta(moore_reduction(a2, m), args.out)
+        a = moore_reduction(a2, m)
     else:   # graft
         t1 = _load(args.inputs[0], ".mtree")
         t2 = _load(args.inputs[1], ".mtree")
@@ -148,45 +125,47 @@ def _cmd_construct(args):
                              "graft needs exactly one of --at / --chain")
         if args.at is not None:
             node = "" if args.at == "-" else args.at
-            _emit_mtree(graft_node(t1, t2, node), args.out)
+            t = graft_node(t1, t2, node)
         else:
-            _emit_mtree(graft_antichain(t1, t2,
-                                        _load(args.chain, ".chain")),
-                        args.out)
+            t = graft_antichain(t1, t2, _load(args.chain, ".chain"))
+        _emit(formats.serialize_mtree(t), args.out)
+        return 0
+    _emit(formats.serialize_pta(a), args.out)
     return 0
 
 
 def _cmd_zoo(args):
     name = args.name
     if name == "neg-union":
-        _emit_pta(zoo.zoo_neg_union(args.k if args.k is not None else 2),
-                  args.out)
+        a = zoo.zoo_neg_union(args.k if args.k is not None else 2)
     elif name == "exists-a1":
-        _emit_pta(zoo.zoo_exists_a1(), args.out)
+        a = zoo.zoo_exists_a1()
     elif name == "complement-singleton":
         if not args.tree:
             raise ParseError(name, 0, "complement-singleton needs --tree")
-        _emit_pta(zoo.zoo_complement_singleton(_load(args.tree, ".mtree")),
-                  args.out)
+        a = zoo.zoo_complement_singleton(_load(args.tree, ".mtree"))
     elif name == "lfa":
-        _emit_pta(zoo.zoo_lfa(), args.out)
+        a = zoo.zoo_lfa()
     elif name == "lfa-witness":
         if args.m is None:
             raise ParseError(name, 0, "lfa-witness needs --m")
-        _emit_mtree(zoo.lfa_witness_tree(args.m, args.k or 0), args.out)
+        _emit(formats.serialize_mtree(zoo.lfa_witness_tree(args.m,
+                                                           args.k or 0)),
+              args.out)
+        return 0
     elif name == "frak":
         if not (args.a0 and args.anb):
             raise ParseError(name, 0, "frak needs --a0 and --anb")
-        _emit_pta(zoo.zoo_frak_scheme(_load(args.a0, ".pta"),
-                                      _load(args.anb, ".pta")), args.out)
+        a = zoo.zoo_frak_scheme(_load(args.a0, ".pta"),
+                                _load(args.anb, ".pta"))
     elif name == "no-max":
-        _emit_pta(zoo.zoo_no_max(), args.out)
+        a = zoo.zoo_no_max()
     elif name == "perf":
-        _emit_pta(zoo.zoo_perf(), args.out)
+        a = zoo.zoo_perf()
     elif name == "x-subset-ydown":
-        _emit_pta(zoo.zoo_x_subset_ydown(), args.out)
+        a = zoo.zoo_x_subset_ydown()
     elif name == "free2":
-        _emit_pta(zoo.zoo_free2(), args.out)
+        a = zoo.zoo_free2()
     elif name in ("rep-single", "rep-leaf-or-node", "rep-combs"):
         rep = {"rep-single": zoo.niwinski_rep_single,
                "rep-leaf-or-node": zoo.niwinski_rep_leaf_or_node,
@@ -195,8 +174,10 @@ def _cmd_zoo(args):
             raise ParseError(name, 0, "representations need -o <directory>")
         formats.save_rep(rep, args.out)
         print(f"wrote {args.out}/")
+        return 0
     else:
         raise ParseError(name, 0, "unknown zoo entry")
+    _emit(formats.serialize_pta(a), args.out)
     return 0
 
 
@@ -205,19 +186,17 @@ def _cmd_game(args):
         a = _load(args.automaton, ".pta")
         t = _load(args.tree, ".mtree")
         g = build_game(a, t)
-        if args.out:
-            _write(args.out, formats.serialize_game(g.arena))
-        else:
-            sys.stdout.write(formats.serialize_game(g.arena))
+        _emit(formats.serialize_game(g.arena), args.out)
         if args.dot:
-            _write(args.dot, formats.game_to_dot(g.arena, solve(g.arena)))
+            formats.write_file(args.dot,
+                               formats.game_to_dot(g.arena, solve(g.arena)))
         return 0
     arena = _load(args.game, ".game")
     analysis = solve(arena)
     for player, tag in (("A", "Automaton"), ("P", "Pathfinder")):
         print(f"{tag} wins {len(analysis.region[player])} vertices")
     if args.dot:
-        _write(args.dot, formats.game_to_dot(arena, analysis))
+        formats.write_file(args.dot, formats.game_to_dot(arena, analysis))
     if arena.init is not None:
         winner = analysis.winner_of(arena.init)
         print(f"initial vertex won by "

@@ -9,6 +9,7 @@ in str-sorted order, consistently across an automaton and any runs or
 strategies serialized against it.
 """
 
+import contextlib
 import json
 import os
 
@@ -36,49 +37,147 @@ def _check_symbols(symbols, what):
     return tuple(symbols)
 
 
+class _Naturals:
+    """The decimal natural numbers, as a container of tokens."""
+
+    def __contains__(self, token):
+        return token.isdigit()
+
+    def __repr__(self):
+        return "the natural numbers"
+
+
 class _Reader:
-    """The non-blank lines of a file as (lineno, fields, raw) triples."""
+    """The non-blank lines of a file as (lineno, fields, raw) triples, and
+    the row shapes that several formats share."""
 
     def __init__(self, text, filename):
         self.filename = filename
-        self.rows = [(i + 1, line.split(), line)
-                     for i, line in enumerate(text.splitlines())
+        self.rows = [(i, line.split(), line)
+                     for i, line in enumerate(text.splitlines(), 1)
                      if line.strip()]
 
     def fail(self, lineno, message):
         raise ParseError(self.filename, lineno, message)
 
     def header(self, keyword):
+        """Consume the first row, `<keyword> <rest>`, and return rest; its
+        line number stays in self.head."""
         if not self.rows:
             raise ParseError(self.filename, 1, f"expected `{keyword} <name>`")
-        lineno, fields, raw = self.rows[0]
-        if not fields or fields[0] != keyword:
-            self.fail(lineno, f"expected `{keyword} <name>`, got {fields[0] if fields else ''!r}")
+        self.head, fields, raw = self.rows.pop(0)
+        if fields[0] != keyword:
+            self.fail(self.head, f"expected `{keyword} <name>`, "
+                                 f"got {fields[0]!r}")
         if len(fields) < 2:
-            self.fail(lineno, f"expected a name after `{keyword}`")
+            self.fail(self.head, f"expected a name after `{keyword}`")
         return raw.split(None, 1)[1].strip()
 
-    def body(self):
-        return self.rows[1:]
+    def groups(self, allowed):
+        """The remaining rows as (lineno, fields), grouped by directive;
+        any other directive is rejected."""
+        groups = {k: [] for k in allowed}
+        for lineno, fields, _ in self.rows:
+            if fields[0] not in groups:
+                self.fail(lineno, f"expected one of {sorted(allowed)}, "
+                                  f"got {fields[0]!r}")
+            groups[fields[0]].append((lineno, fields))
+        return groups
+
+    def single(self, groups, key, what):
+        if not groups[key]:
+            raise ParseError(self.filename, 0, f"missing `{key}` ({what})")
+        if len(groups[key]) > 1:
+            self.fail(groups[key][1][0], f"duplicate `{key}` line")
+        return groups[key][0]
+
+    def known(self, lineno, names, declared):
+        for s in names:
+            if s not in declared:
+                self.fail(lineno, f"state {s} is not declared")
+
+    def ids(self, rows, attr=None, values=None):
+        """{id: value} of the `state` rows, in file order.
+
+        Without attr each row is `state <id>` (value None).  With values
+        each row is `state <id> <attr>=<value>`, value in values; without
+        them attr is an optional flag, `state <id>[ <attr>]` (value True
+        where present).
+        """
+        form = ("state <id>" if attr is None else
+                f"state <id> [{attr}]" if values is None else
+                f"state <id> {attr}=<value>")
+        found = {}
+        for lineno, fields in rows:
+            if values is None:
+                ok, value = fields[2:] in ([], [attr]), len(fields) == 3
+            else:
+                ok = len(fields) == 3 and fields[2].startswith(attr + "=")
+                value = fields[2][len(attr) + 1:]
+            if len(fields) < 2 or not ok:
+                self.fail(lineno, f"expected `{form}`")
+            if fields[1] in found:
+                self.fail(lineno, f"state {fields[1]} declared twice")
+            if values is not None and value not in values:
+                self.fail(lineno, f"{attr} {value!r} is not in {values}")
+            found[fields[1]] = value
+        return found
+
+    def init(self, groups, declared):
+        """The one id of the `init <id>` row."""
+        lineno, fields = self.single(groups, "init", "the initial state")
+        if len(fields) != 2:
+            self.fail(lineno, "expected `init <id>`")
+        self.known(lineno, fields[1:], declared)
+        return fields[1]
+
+    def edges(self, rows, declared, letters, total):
+        """{(src, letter): dst} of `edge <src> <letter> <dst>` rows, at
+        most one per (src, letter); total demands exactly one for every
+        declared state and letter."""
+        nxt = {}
+        for lineno, fields in rows:
+            if len(fields) != 4:
+                self.fail(lineno, "expected `edge <src> <letter> <dst>`")
+            src, x, dst = fields[1:]
+            if x not in letters:
+                self.fail(lineno, f"letter {x!r} is not in {letters}")
+            self.known(lineno, (src, dst), declared)
+            if (src, x) in nxt:
+                self.fail(lineno, f"state {src} has two {x}-edges")
+            nxt[(src, x)] = dst
+        for s in declared if total else ():
+            for x in letters:
+                if (s, x) not in nxt:
+                    raise ParseError(self.filename, 0,
+                                     f"state {s} lacks a {x}-edge")
+        return nxt
+
+    def transitions(self, rows, declared, letters):
+        """The set of (q, sym, ql, qr) of `trans <q> <sym> <ql> <qr>` rows."""
+        delta = set()
+        for lineno, fields in rows:
+            if len(fields) != 5:
+                self.fail(lineno, "expected `trans <q> <sym> <ql> <qr>`")
+            q, sym, ql, qr = fields[1:]
+            self.known(lineno, (q, ql, qr), declared)
+            if sym not in letters:
+                self.fail(lineno, f"letter {sym!r} is not in {letters}")
+            delta.add((q, sym, ql, qr))
+        return frozenset(delta)
 
 
-def _body_index(reader, allowed):
-    """Group body rows by directive, rejecting unknown ones."""
-    groups = {k: [] for k in allowed}
-    for lineno, fields, raw in reader.body():
-        if fields[0] not in allowed:
-            reader.fail(lineno, f"expected one of {sorted(allowed)}, "
-                                f"got {fields[0]!r}")
-        groups[fields[0]].append((lineno, fields))
-    return groups
+def _edge_lines(toks, order, letters, nxt):
+    """`edge` rows of a machine, by state then letter."""
+    return [f"edge {toks[s]} {x} {toks[nxt[(s, x)]]}"
+            for s in order for x in letters if (s, x) in nxt]
 
 
-def _single(reader, groups, key, what):
-    if not groups[key]:
-        raise ParseError(reader.filename, 0, f"missing `{key}` ({what})")
-    if len(groups[key]) > 1:
-        reader.fail(groups[key][1][0], f"duplicate `{key}` line")
-    return groups[key][0]
+def _trans_lines(toks, delta):
+    """`trans` rows, sorted by their written tokens."""
+    return ["trans " + " ".join(row) for row in
+            sorted((toks[q], sym, toks[ql], toks[qr])
+                   for q, sym, ql, qr in delta)]
 
 
 # -------------------------------------------------------------- .mtree
@@ -90,51 +189,24 @@ def serialize_mtree(t):
     order = sorted(t.out, key=lambda s: toks[s])
     lines += [f"state {toks[s]} out={t.out[s]}" for s in order]
     lines.append(f"init {toks[t.init]}")
-    for s in order:
-        for d in DIRS:
-            lines.append(f"edge {toks[s]} {d} {toks[t.next[(s, d)]]}")
+    lines += _edge_lines(toks, order, DIRS, t.next)
     return "\n".join(lines) + "\n"
 
 
 def parse_mtree(text, filename="<mtree>"):
-    r = _Reader(text, filename)
+    return _mtree(_Reader(text, filename))
+
+
+def _mtree(r):
     name = r.header("mtree")
-    groups = _body_index(r, {"alphabet", "state", "init", "edge"})
-    lineno, fields = _single(r, groups, "alphabet", "the label alphabet")
+    groups = r.groups({"alphabet", "state", "init", "edge"})
+    lineno, fields = r.single(groups, "alphabet", "the label alphabet")
     alphabet = tuple(fields[1:])
     if not alphabet:
         r.fail(lineno, "alphabet must list at least one symbol")
-    out = {}
-    for lineno, fields in groups["state"]:
-        if len(fields) != 3 or not fields[2].startswith("out="):
-            r.fail(lineno, "expected `state <id> out=<sym>`")
-        s, sym = fields[1], fields[2][4:]
-        if s in out:
-            r.fail(lineno, f"state {s} declared twice")
-        if sym not in alphabet:
-            r.fail(lineno, f"label {sym!r} is not in the alphabet")
-        out[s] = sym
-    lineno, fields = _single(r, groups, "init", "the initial state")
-    if len(fields) != 2:
-        r.fail(lineno, "expected `init <id>`")
-    init = fields[1]
-    if init not in out:
-        r.fail(lineno, f"initial state {init} is not declared")
-    nxt = {}
-    for lineno, fields in groups["edge"]:
-        if len(fields) != 4 or fields[2] not in DIRS:
-            r.fail(lineno, "expected `edge <src> l|r <dst>`")
-        src, d, dst = fields[1], fields[2], fields[3]
-        for s in (src, dst):
-            if s not in out:
-                r.fail(lineno, f"state {s} is not declared")
-        if (src, d) in nxt:
-            r.fail(lineno, f"state {src} has two {d}-edges")
-        nxt[(src, d)] = dst
-    for s in out:
-        for d in DIRS:
-            if (s, d) not in nxt:
-                raise ParseError(filename, 0, f"state {s} lacks a {d}-edge")
+    out = r.ids(groups["state"], "out", alphabet)
+    init = r.init(groups, out)
+    nxt = r.edges(groups["edge"], out, DIRS, total=True)
     return RegularTree(name, alphabet, init, nxt, out).check()
 
 
@@ -148,44 +220,19 @@ def serialize_chain(c):
         flag = " accept" if s in c.accepting else ""
         lines.append(f"state {toks[s]}{flag}")
     lines.append(f"init {toks[c.init]}")
-    for s in order:
-        for d in DIRS:
-            if (s, d) in c.delta:
-                lines.append(f"edge {toks[s]} {d} {toks[c.delta[(s, d)]]}")
+    lines += _edge_lines(toks, order, DIRS, c.delta)
     return "\n".join(lines) + "\n"
 
 
 def parse_chain(text, filename="<chain>"):
     r = _Reader(text, filename)
     name = r.header("chain")
-    groups = _body_index(r, {"state", "init", "edge"})
-    states, accepting = [], set()
-    for lineno, fields in groups["state"]:
-        if len(fields) not in (2, 3) or (len(fields) == 3
-                                         and fields[2] != "accept"):
-            r.fail(lineno, "expected `state <id> [accept]`")
-        if fields[1] in states:
-            r.fail(lineno, f"state {fields[1]} declared twice")
-        states.append(fields[1])
-        if len(fields) == 3:
-            accepting.add(fields[1])
-    lineno, fields = _single(r, groups, "init", "the initial state")
-    if len(fields) != 2 or fields[1] not in states:
-        r.fail(lineno, "expected `init <declared id>`")
-    init = fields[1]
-    delta = {}
-    for lineno, fields in groups["edge"]:
-        if len(fields) != 4 or fields[2] not in DIRS:
-            r.fail(lineno, "expected `edge <src> l|r <dst>`")
-        src, d, dst = fields[1], fields[2], fields[3]
-        for s in (src, dst):
-            if s not in states:
-                r.fail(lineno, f"state {s} is not declared")
-        if (src, d) in delta:
-            r.fail(lineno, f"state {src} has two {d}-edges")
-        delta[(src, d)] = dst
-    return RegularAntichain(name, tuple(states), init, delta,
-                            frozenset(accepting)).check()
+    groups = r.groups({"state", "init", "edge"})
+    accept = r.ids(groups["state"], "accept")
+    init = r.init(groups, accept)
+    delta = r.edges(groups["edge"], accept, DIRS, total=False)
+    return RegularAntichain(name, tuple(accept), init, delta,
+                            frozenset(s for s in accept if accept[s])).check()
 
 
 # ---------------------------------------------------------------- .pta
@@ -197,51 +244,27 @@ def serialize_pta(a):
     order = sorted(a.states, key=lambda q: toks[q])
     lines += [f"state {toks[q]} color={a.color[q]}" for q in order]
     lines.append("init " + " ".join(sorted(toks[q] for q in a.initials)))
-    for q, sym, ql, qr in sorted(a.delta,
-                                 key=lambda tr: (toks[tr[0]], tr[1],
-                                                 toks[tr[2]], toks[tr[3]])):
-        lines.append(f"trans {toks[q]} {sym} {toks[ql]} {toks[qr]}")
+    lines += _trans_lines(toks, a.delta)
     return "\n".join(lines) + "\n"
 
 
 def parse_pta(text, filename="<pta>"):
     r = _Reader(text, filename)
     name = r.header("pta")
-    groups = _body_index(r, {"alphabet", "state", "init", "trans"})
-    lineno, fields = _single(r, groups, "alphabet", "the alphabet")
+    groups = r.groups({"alphabet", "state", "init", "trans"})
+    lineno, fields = r.single(groups, "alphabet", "the alphabet")
     alphabet = tuple(fields[1:])
     if not alphabet:
         r.fail(lineno, "alphabet must list at least one symbol")
-    color = {}
-    for lineno, fields in groups["state"]:
-        if len(fields) != 3 or not fields[2].startswith("color="):
-            r.fail(lineno, "expected `state <id> color=<nat>`")
-        q, c = fields[1], fields[2][6:]
-        if q in color:
-            r.fail(lineno, f"state {q} declared twice")
-        if not c.isdigit():
-            r.fail(lineno, f"color {c!r} is not a natural number")
-        color[q] = int(c)
-    lineno, fields = _single(r, groups, "init", "the initial states")
+    color = {q: int(c) for q, c in
+             r.ids(groups["state"], "color", _Naturals()).items()}
+    lineno, fields = r.single(groups, "init", "the initial states")
     if len(fields) < 2:
         r.fail(lineno, "expected `init <id> [<id>...]`")
-    for q in fields[1:]:
-        if q not in color:
-            r.fail(lineno, f"initial state {q} is not declared")
-    initials = frozenset(fields[1:])
-    delta = set()
-    for lineno, fields in groups["trans"]:
-        if len(fields) != 5:
-            r.fail(lineno, "expected `trans <q> <sym> <ql> <qr>`")
-        q, sym, ql, qr = fields[1:]
-        for s in (q, ql, qr):
-            if s not in color:
-                r.fail(lineno, f"state {s} is not declared")
-        if sym not in alphabet:
-            r.fail(lineno, f"letter {sym!r} is not in the alphabet")
-        delta.add((q, sym, ql, qr))
-    return ParityTreeAutomaton(name, alphabet, frozenset(color), initials,
-                               frozenset(delta), color).check()
+    r.known(lineno, fields[1:], color)
+    delta = r.transitions(groups["trans"], color, alphabet)
+    return ParityTreeAutomaton(name, alphabet, frozenset(color),
+                               frozenset(fields[1:]), delta, color).check()
 
 
 # ---------------------------------------------------------------- .fta
@@ -258,56 +281,34 @@ def serialize_fta(f):
     lines.append("init " + " ".join(sorted(toks[q] for q in f.initials)))
     for q, sym in sorted(f.delta0, key=lambda x: (toks[x[0]], x[1])):
         lines.append(f"leaf {toks[q]} {sym}")
-    for q, sym, ql, qr in sorted(f.delta2,
-                                 key=lambda tr: (toks[tr[0]], tr[1],
-                                                 toks[tr[2]], toks[tr[3]])):
-        lines.append(f"trans {toks[q]} {sym} {toks[ql]} {toks[qr]}")
+    lines += _trans_lines(toks, f.delta2)
     return "\n".join(lines) + "\n"
 
 
 def parse_fta(text, filename="<fta>"):
     r = _Reader(text, filename)
     name = r.header("fta")
-    groups = _body_index(r, {"leafalpha", "innalpha", "state", "init",
-                             "leaf", "trans"})
-    _, fields = _single(r, groups, "leafalpha", "the leaf alphabet")
+    groups = r.groups({"leafalpha", "innalpha", "state", "init", "leaf",
+                       "trans"})
+    _, fields = r.single(groups, "leafalpha", "the leaf alphabet")
     alphabet0 = tuple(fields[1:])
-    _, fields = _single(r, groups, "innalpha", "the inner alphabet")
+    _, fields = r.single(groups, "innalpha", "the inner alphabet")
     alphabet2 = tuple(fields[1:])
-    states = set()
-    for lineno, fields in groups["state"]:
-        if len(fields) != 2:
-            r.fail(lineno, "expected `state <id>`")
-        if fields[1] in states:
-            r.fail(lineno, f"state {fields[1]} declared twice")
-        states.add(fields[1])
-    lineno, fields = _single(r, groups, "init", "the initial states")
-    for q in fields[1:]:
-        if q not in states:
-            r.fail(lineno, f"initial state {q} is not declared")
+    states = r.ids(groups["state"])
+    lineno, fields = r.single(groups, "init", "the initial states")
+    r.known(lineno, fields[1:], states)
     initials = frozenset(fields[1:])
-    delta0, delta2 = set(), set()
+    delta0 = set()
     for lineno, fields in groups["leaf"]:
         if len(fields) != 3:
             r.fail(lineno, "expected `leaf <q> <sym>`")
-        if fields[1] not in states:
-            r.fail(lineno, f"state {fields[1]} is not declared")
+        r.known(lineno, fields[1:2], states)
         if fields[2] not in alphabet0:
             r.fail(lineno, f"symbol {fields[2]!r} is not a leaf symbol")
         delta0.add((fields[1], fields[2]))
-    for lineno, fields in groups["trans"]:
-        if len(fields) != 5:
-            r.fail(lineno, "expected `trans <q> <sym> <ql> <qr>`")
-        q, sym, ql, qr = fields[1:]
-        for s in (q, ql, qr):
-            if s not in states:
-                r.fail(lineno, f"state {s} is not declared")
-        if sym not in alphabet2:
-            r.fail(lineno, f"symbol {sym!r} is not an inner symbol")
-        delta2.add((q, sym, ql, qr))
+    delta2 = r.transitions(groups["trans"], states, alphabet2)
     return FiniteTreeAutomaton(name, alphabet0, alphabet2, frozenset(states),
-                               initials, frozenset(delta0),
-                               frozenset(delta2)).check()
+                               initials, frozenset(delta0), delta2).check()
 
 
 # -------------------------------------------------------------- .ftree
@@ -331,8 +332,8 @@ def serialize_ftree(tree):
 def parse_ftree(text, filename="<ftree>"):
     r = _Reader(text, filename)
     nodes, at_line = {}, {}
-    for lineno, fields, raw in r.rows:
-        if len(fields) != 3 or fields[0] != "node":
+    for lineno, fields in r.groups({"node"})["node"]:
+        if len(fields) != 3:
             r.fail(lineno, "expected `node <path|-> <label>`")
         path = "" if fields[1] == "-" else fields[1]
         if any(d not in DIRS for d in path):
@@ -384,7 +385,7 @@ def serialize_game(arena):
 def parse_game(text, filename="<game>"):
     r = _Reader(text, filename)
     name = r.header("game")
-    groups = _body_index(r, {"vertex", "init", "edge"})
+    groups = r.groups({"vertex", "init", "edge"})
     owner, color, sinks = {}, {}, set()
     for lineno, fields in groups["vertex"]:
         rest = fields[2:]
@@ -407,7 +408,7 @@ def parse_game(text, filename="<game>"):
             sinks.add(v)
     init = None
     if groups["init"]:
-        lineno, fields = _single(r, groups, "init", "the initial vertex")
+        lineno, fields = r.single(groups, "init", "the initial vertex")
         if len(fields) != 2 or fields[1] not in owner:
             r.fail(lineno, "expected `init <declared vertex>`")
         init = fields[1]
@@ -440,54 +441,22 @@ def serialize_moore(m):
     order = sorted(m.states, key=lambda s: toks[s])
     lines += [f"state {toks[s]} out={m.out[s]}" for s in order]
     lines.append(f"init {toks[m.init]}")
-    for s in order:
-        for a in m.inputs:
-            lines.append(f"edge {toks[s]} {a} {toks[m.delta[(s, a)]]}")
+    lines += _edge_lines(toks, order, m.inputs, m.delta)
     return "\n".join(lines) + "\n"
 
 
 def parse_moore(text, filename="<moore>"):
     r = _Reader(text, filename)
     name = r.header("moore")
-    groups = _body_index(r, {"inputs", "outputs", "state", "init", "edge"})
-    _, fields = _single(r, groups, "inputs", "the input alphabet")
+    groups = r.groups({"inputs", "outputs", "state", "init", "edge"})
+    _, fields = r.single(groups, "inputs", "the input alphabet")
     inputs = tuple(fields[1:])
-    _, fields = _single(r, groups, "outputs", "the output alphabet")
+    _, fields = r.single(groups, "outputs", "the output alphabet")
     outputs = tuple(fields[1:])
-    out, states = {}, []
-    for lineno, fields in groups["state"]:
-        if len(fields) != 3 or not fields[2].startswith("out="):
-            r.fail(lineno, "expected `state <id> out=<sym>`")
-        s, sym = fields[1], fields[2][4:]
-        if s in out:
-            r.fail(lineno, f"state {s} declared twice")
-        if sym not in outputs:
-            r.fail(lineno, f"output {sym!r} is not declared")
-        out[s] = sym
-        states.append(s)
-    lineno, fields = _single(r, groups, "init", "the initial state")
-    if len(fields) != 2 or fields[1] not in out:
-        r.fail(lineno, "expected `init <declared id>`")
-    init = fields[1]
-    delta = {}
-    for lineno, fields in groups["edge"]:
-        if len(fields) != 4:
-            r.fail(lineno, "expected `edge <src> <input> <dst>`")
-        src, a, dst = fields[1], fields[2], fields[3]
-        for s in (src, dst):
-            if s not in out:
-                r.fail(lineno, f"state {s} is not declared")
-        if a not in inputs:
-            r.fail(lineno, f"input {a!r} is not declared")
-        if (src, a) in delta:
-            r.fail(lineno, f"state {src} has two edges on {a!r}")
-        delta[(src, a)] = dst
-    for s in states:
-        for a in inputs:
-            if (s, a) not in delta:
-                raise ParseError(filename, 0,
-                                 f"state {s} lacks an edge on {a!r}")
-    return MooreMachine(name, inputs, outputs, tuple(states), init,
+    out = r.ids(groups["state"], "out", outputs)
+    init = r.init(groups, out)
+    delta = r.edges(groups["edge"], out, inputs, total=True)
+    return MooreMachine(name, inputs, outputs, tuple(out), init,
                         delta, out).check()
 
 
@@ -509,15 +478,12 @@ def parse_run(text, filename="<run>"):
     Returns (of_name, on_name, machine); bind_run attaches the machine to
     a concrete automaton and tree.
     """
-    lines = text.splitlines()
-    if not lines or not lines[0].split() or lines[0].split()[0] != "run":
-        raise ParseError(filename, 1, "expected `run of=<pta> on=<tree>`")
-    head = lines[0].split(None, 1)[1] if len(lines[0].split(None, 1)) > 1 else ""
+    r = _Reader(text, filename)
+    head = r.header("run")
     if not head.startswith("of=") or " on=" not in head:
-        raise ParseError(filename, 1, "expected `run of=<pta> on=<tree>`")
+        r.fail(r.head, "expected `run of=<pta> on=<tree>`")
     of_name, on_name = head[3:].rsplit(" on=", 1)
-    machine = parse_mtree("\n".join(lines[1:]), filename)
-    return of_name, on_name, machine
+    return of_name, on_name, _mtree(r)
 
 
 def bind_run(machine, automaton, tree):
@@ -545,9 +511,7 @@ def serialize_straj(strj):
     order = sorted(strj.states, key=lambda s: mtoks[s])
     lines += [f"state {mtoks[s]}" for s in order]
     lines.append(f"init {mtoks[strj.init]}")
-    for s in order:
-        for d in DIRS:
-            lines.append(f"edge {mtoks[s]} {d} {mtoks[strj.next[(s, d)]]}")
+    lines += _edge_lines(mtoks, order, DIRS, strj.next)
     for s in order:
         for (ql, qr) in sorted(strj.out[s], key=lambda p: (toks[p[0]],
                                                            toks[p[1]])):
@@ -561,41 +525,21 @@ def parse_straj(text, filename="<straj>"):
     r = _Reader(text, filename)
     header = r.header("straj")
     if " of=" not in " " + header:
-        raise ParseError(filename, 1, "expected `straj <name> of=<pta>`")
+        r.fail(r.head, "expected `straj <name> of=<pta>`")
     name, of_name = (" " + header).rsplit(" of=", 1)
     name = name.strip()
-    groups = _body_index(r, {"state", "init", "edge", "out"})
-    states = []
-    for lineno, fields in groups["state"]:
-        if len(fields) != 2:
-            r.fail(lineno, "expected `state <id>`")
-        if fields[1] in states:
-            r.fail(lineno, f"state {fields[1]} declared twice")
-        states.append(fields[1])
-    lineno, fields = _single(r, groups, "init", "the initial state")
-    if len(fields) != 2 or fields[1] not in states:
-        r.fail(lineno, "expected `init <declared id>`")
-    init = fields[1]
-    nxt = {}
-    for lineno, fields in groups["edge"]:
-        if len(fields) != 4 or fields[2] not in DIRS:
-            r.fail(lineno, "expected `edge <src> l|r <dst>`")
-        src, d, dst = fields[1], fields[2], fields[3]
-        for s in (src, dst):
-            if s not in states:
-                r.fail(lineno, f"state {s} is not declared")
-        nxt[(src, d)] = dst
-    for s in states:
-        for d in DIRS:
-            if (s, d) not in nxt:
-                raise ParseError(filename, 0, f"state {s} lacks a {d}-edge")
+    groups = r.groups({"state", "init", "edge", "out"})
+    states = r.ids(groups["state"])
+    init = r.init(groups, states)
+    nxt = r.edges(groups["edge"], states, DIRS, total=True)
     out = {s: {} for s in states}
     for lineno, fields in groups["out"]:
         if len(fields) != 5 or fields[4] not in DIRS:
             r.fail(lineno, "expected `out <state> <ql> <qr> l|r`")
         s, ql, qr, d = fields[1:]
-        if s not in states:
-            r.fail(lineno, f"state {s} is not declared")
+        r.known(lineno, (s,), states)
+        if (ql, qr) in out[s]:
+            r.fail(lineno, f"state {s} has two out rows for {ql} {qr}")
         out[s][(ql, qr)] = d
     return name, of_name, init, nxt, out
 
@@ -619,39 +563,53 @@ def bind_straj(parsed, automaton):
     return PathfinderStrategyTree(name, automaton, init, nxt, out)
 
 
-# ------------------------------------------------------ rep directories
+# ------------------------------------------------------------ file I/O
+
+@contextlib.contextmanager
+def _os_errors(path):
+    """An OSError on path becomes ParseError(path, 0, ...): exit code 2."""
+    try:
+        yield
+    except OSError as e:
+        raise ParseError(path, 0, e.strerror or str(e)) from None
+
+
+def read_file(path):
+    with _os_errors(path), open(path) as fh:
+        return fh.read()
+
+
+def write_file(path, text):
+    with _os_errors(path), open(path, "w") as fh:
+        fh.write(text)
+
 
 def save_rep(rep, dirpath):
-    os.makedirs(dirpath, exist_ok=True)
-    with open(os.path.join(dirpath, "rep.fta"), "w") as fh:
-        fh.write(serialize_fta(rep.fta))
+    with _os_errors(dirpath):
+        os.makedirs(dirpath, exist_ok=True)
+    write_file(os.path.join(dirpath, "rep.fta"), serialize_fta(rep.fta))
     manifest = ["fta rep.fta"]
     for var in sorted(rep.subs):
         fname = f"{var}.mtree"
-        with open(os.path.join(dirpath, fname), "w") as fh:
-            fh.write(serialize_mtree(rep.subs[var]))
+        write_file(os.path.join(dirpath, fname),
+                   serialize_mtree(rep.subs[var]))
         manifest.append(f"tree {var} {fname}")
-    with open(os.path.join(dirpath, "rep"), "w") as fh:
-        fh.write("\n".join(manifest) + "\n")
+    write_file(os.path.join(dirpath, "rep"), "\n".join(manifest) + "\n")
 
 
 def load_rep(dirpath):
     manifest = os.path.join(dirpath, "rep")
-    if not os.path.exists(manifest):
-        raise ParseError(manifest, 0, "missing rep manifest")
-    with open(manifest) as fh:
-        text = fh.read()
     fta, subs = None, {}
-    for i, line in enumerate(text.splitlines(), 1):
+    for i, line in enumerate(read_file(manifest).splitlines(), 1):
         fields = line.split()
         if not fields:
             continue
         if fields[0] == "fta" and len(fields) == 2:
-            with open(os.path.join(dirpath, fields[1])) as fh:
-                fta = parse_fta(fh.read(), fields[1])
+            fta = parse_fta(read_file(os.path.join(dirpath, fields[1])),
+                            fields[1])
         elif fields[0] == "tree" and len(fields) == 3:
-            with open(os.path.join(dirpath, fields[2])) as fh:
-                subs[fields[1]] = parse_mtree(fh.read(), fields[2])
+            subs[fields[1]] = parse_mtree(
+                read_file(os.path.join(dirpath, fields[2])), fields[2])
         else:
             raise ParseError(manifest, i,
                              "expected `fta <file>` or `tree <var> <file>`")

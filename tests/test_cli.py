@@ -206,3 +206,37 @@ def test_suite_table_shape(capsys, monkeypatch):
                         [("always-true", 10.0, lambda: True)])
     assert run(["suite"]) == 0
     capsys.readouterr()
+
+
+def test_validate_rep_dir_missing_member_file_exits_two(capsys, tmp_path):
+    repdir = tmp_path / "rep"
+    shutil.copytree(data("rep-leaf-or-node"), repdir)
+    (repdir / "rep.fta").unlink()
+    assert run(["validate", str(repdir)]) == 2
+    assert f"{repdir / 'rep.fta'}:0: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["zoo", "free2", "-o", "{missing}"], id="zoo-o"),
+    pytest.param(["zoo", "lfa-witness", "--m", "1", "-o", "{missing}"],
+                 id="zoo-mtree-o"),
+    pytest.param(["empty", "-a", data("exists_a1.pta"),
+                  "--witness", "{missing}"], id="empty-witness"),
+    pytest.param(["game", "build", "-a", data("exists_a1.pta"),
+                  "-t", data("tprime.mtree"), "-o", "{missing}"],
+                 id="game-build-o"),
+    pytest.param(["game", "build", "-a", data("exists_a1.pta"),
+                  "-t", data("tprime.mtree"), "--dot", "{missing}"],
+                 id="game-build-dot"),
+    pytest.param(["game", "solve", "-g", data("member.game"),
+                  "--dot", "{missing}"], id="game-solve-dot"),
+    # directories are created as needed, so block one with a regular file
+    pytest.param(["zoo", "rep-combs", "-o", "{blocked}"], id="zoo-rep-o"),
+])
+def test_unwritable_output_path_exits_two(capsys, tmp_path, argv):
+    (tmp_path / "file").write_text("")
+    paths = {"missing": str(tmp_path / "nosuch" / "x"),
+             "blocked": str(tmp_path / "file" / "x")}
+    assert run([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert any(f"{p}:0: " in err for p in paths.values()), err

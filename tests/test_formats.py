@@ -2,16 +2,21 @@
 
 import json
 import os
+import random
 
 import pytest
 
 from treeamb import formats, zoo
 from treeamb.ambiguity import classify
-from treeamb.automata import ParityTreeAutomaton
+from treeamb.automata import ParityTreeAutomaton, fta_enumerate_accepted
 from treeamb.errors import ParseError
 from treeamb.games import solve
-from treeamb.membership import run_is_accepting
-from treeamb.trees import constant_tree, tree_equal
+from treeamb.membership import (automaton_strategy_to_run, build_game, member,
+                                pathfinder_strategy, run_is_accepting)
+from treeamb.trees import (constant_tree, last_letter_machine,
+                           lstar_r_antichain, tree_equal)
+
+from test_membership import random_tree
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -116,12 +121,104 @@ def test_numeric_state_tokens_sort_as_strings():
     assert formats.serialize_pta(formats.parse_pta(text, "m.pta")) == text
 
 
+def generated_objects():
+    """(ext, object) params for every format, beyond the shipped fixtures."""
+    objs = [("lstar-r", ".chain", lstar_r_antichain()),
+            ("last-letter", ".moore", last_letter_machine(("a1", "a2", "c")))]
+    for rep in (zoo.niwinski_rep_single(), zoo.niwinski_rep_leaf_or_node(),
+                zoo.niwinski_rep_combs()):
+        objs.append((rep.name, ".fta", rep.fta))
+        objs += [(f"{rep.name}-{i}", ".ftree", tree) for i, tree
+                 in enumerate(fta_enumerate_accepted(rep.fta, 7)[:4])]
+    automata = [zoo.zoo_neg_union(2), zoo.zoo_neg_union(3),
+                zoo.zoo_exists_a1(), zoo.zoo_lfa(), zoo.zoo_no_max(),
+                zoo.zoo_perf(), zoo.zoo_x_subset_ydown(), zoo.zoo_free2()]
+    rng = random.Random(6)
+    for a in automata:
+        objs.append((a.name, ".pta", a))
+        for size in (1, 3, 6):
+            t = random_tree(rng, a.alphabet, size)
+            key = f"{a.name}-{size}"
+            g = build_game(a, t)
+            objs += [(key, ".mtree", t), (key, ".game", g.arena)]
+            if member(a, t):
+                run = automaton_strategy_to_run(g, solve(g.arena))
+                objs.append((key, ".run", run))
+            else:
+                objs.append((key, ".straj", pathfinder_strategy(a, t)))
+    return [pytest.param(ext, obj, id=f"{ext[1:]}:{key}")
+            for key, ext, obj in objs]
+
+
+def reparse(ext, obj, text):
+    if ext == ".run":
+        _, _, machine = formats.parse_run(text)
+        return formats.bind_run(machine, obj.automaton, obj.tree)
+    if ext == ".straj":
+        return formats.bind_straj(formats.parse_straj(text), obj.automaton)
+    return PARSE[ext](text)
+
+
+GENERATED = generated_objects()
+
+
+@pytest.mark.parametrize("ext,obj", GENERATED)
+def test_generated_objects_round_trip_byte_identical(ext, obj):
+    write = dict(SERIALIZE, **{".run": formats.serialize_run,
+                               ".straj": formats.serialize_straj})[ext]
+    text = write(obj)
+    assert write(reparse(ext, obj, text)) == text
+
+
+def test_generated_objects_cover_every_format():
+    assert ({p.values[0] for p in GENERATED}
+            == set(PARSE) | {".run", ".straj"})
+
+
 # ------------------------------------------------------------ error lines
 
 def check_error(exc, filename, lineno, excerpt):
     assert exc.value.filename == filename
     assert exc.value.lineno == lineno
     assert excerpt in str(exc.value)
+
+
+BAD_ROW = {
+    ".mtree": (formats.parse_mtree, "mtree t\nalphabet c\n\nstate 0 out=c\n"
+               "init 0\nedge 0 l 0\nedge 0 r ghost\n", 7),
+    ".chain": (formats.parse_chain, "chain c\nstate 0\nstate 1 accept\n"
+               "init 0\nedge 0 x 1\n", 5),
+    ".pta": (formats.parse_pta, "pta p\nalphabet c\nstate q color=0\n"
+             "state r color=red\ninit q\n", 4),
+    ".fta": (formats.parse_fta, "fta f\nleafalpha x\ninnalpha c\n"
+             "state q\ninit q\nleaf q x\ntrans q c q ghost\n", 7),
+    ".moore": (formats.parse_moore, "moore m\ninputs a\noutputs a\n"
+               "state s out=a\ninit s\nedge s a s\n\nedge s b s\n", 8),
+    ".straj": (formats.parse_straj, "straj s of=p\nstate 0\ninit 0\n"
+               "edge 0 l 0\nedge 0 r 0\nout 0 q q up\n", 6),
+    ".run": (formats.parse_run, "run of=a on=t\nmtree m\nalphabet q\n"
+             "state 0 out=q\ninit 0\nedge 0 l 0\nedge 0 r ghost\n", 7),
+    ".game": (formats.parse_game, "game g\nvertex v owner=A color=0\n"
+              "vertex w owner=X color=0\n", 3),
+}
+
+
+@pytest.mark.parametrize("ext", sorted(BAD_ROW))
+def test_bad_row_reports_its_own_line(ext):
+    parse, text, lineno = BAD_ROW[ext]
+    with pytest.raises(ParseError) as e:
+        parse(text, "bad" + ext)
+    assert (e.value.filename, e.value.lineno) == ("bad" + ext, lineno)
+
+
+def test_straj_rejects_repeated_edge_and_out_rows():
+    head = "straj s of=p\nstate 0\ninit 0\nedge 0 l 0\nedge 0 r 0\n"
+    with pytest.raises(ParseError) as e:
+        formats.parse_straj(head + "edge 0 l 0\n", "s.straj")
+    check_error(e, "s.straj", 6, "two l-edges")
+    with pytest.raises(ParseError) as e:
+        formats.parse_straj(head + "out 0 q q l\nout 0 q q r\n", "s.straj")
+    check_error(e, "s.straj", 7, "two out rows")
 
 
 def test_undeclared_transition_state_reports_line():
