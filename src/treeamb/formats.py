@@ -37,16 +37,6 @@ def _check_symbols(symbols, what):
     return tuple(symbols)
 
 
-class _Naturals:
-    """The decimal natural numbers, as a container of tokens."""
-
-    def __contains__(self, token):
-        return token.isdigit()
-
-    def __repr__(self):
-        return "the natural numbers"
-
-
 class _Reader:
     """The non-blank lines of a file as (lineno, fields, raw) triples, and
     the row shapes that several formats share."""
@@ -60,17 +50,15 @@ class _Reader:
     def fail(self, lineno, message):
         raise ParseError(self.filename, lineno, message)
 
-    def header(self, keyword):
+    def header(self, keyword, form=None):
         """Consume the first row, `<keyword> <rest>`, and return rest; its
-        line number stays in self.head."""
+        line number stays in self.head.  form is the expected row."""
+        form = form or f"{keyword} <name>"
         if not self.rows:
-            raise ParseError(self.filename, 1, f"expected `{keyword} <name>`")
+            raise ParseError(self.filename, 1, f"expected `{form}`")
         self.head, fields, raw = self.rows.pop(0)
-        if fields[0] != keyword:
-            self.fail(self.head, f"expected `{keyword} <name>`, "
-                                 f"got {fields[0]!r}")
-        if len(fields) < 2:
-            self.fail(self.head, f"expected a name after `{keyword}`")
+        if fields[0] != keyword or len(fields) < 2:
+            self.fail(self.head, f"expected `{form}`, got {raw.strip()!r}")
         return raw.split(None, 1)[1].strip()
 
     def groups(self, allowed):
@@ -96,31 +84,22 @@ class _Reader:
             if s not in declared:
                 self.fail(lineno, f"state {s} is not declared")
 
-    def ids(self, rows, attr=None, values=None):
-        """{id: value} of the `state` rows, in file order.
-
-        Without attr each row is `state <id>` (value None).  With values
-        each row is `state <id> <attr>=<value>`, value in values; without
-        them attr is an optional flag, `state <id>[ <attr>]` (value True
-        where present).
+    def ids(self, rows, attr=None):
+        """{id: value} of the `state` rows, in file order: each row is
+        `state <id>` (value None), or with attr `state <id> <attr>=<value>`.
         """
-        form = ("state <id>" if attr is None else
-                f"state <id> [{attr}]" if values is None else
-                f"state <id> {attr}=<value>")
+        form = "state <id>" + (f" {attr}=<value>" if attr else "")
         found = {}
         for lineno, fields in rows:
-            if values is None:
-                ok, value = fields[2:] in ([], [attr]), len(fields) == 3
+            if attr is None:
+                ok = len(fields) == 2
             else:
                 ok = len(fields) == 3 and fields[2].startswith(attr + "=")
-                value = fields[2][len(attr) + 1:]
-            if len(fields) < 2 or not ok:
+            if not ok:
                 self.fail(lineno, f"expected `{form}`")
             if fields[1] in found:
                 self.fail(lineno, f"state {fields[1]} declared twice")
-            if values is not None and value not in values:
-                self.fail(lineno, f"{attr} {value!r} is not in {values}")
-            found[fields[1]] = value
+            found[fields[1]] = fields[2][len(attr) + 1:] if attr else None
         return found
 
     def init(self, groups, declared):
@@ -204,7 +183,10 @@ def _mtree(r):
     alphabet = tuple(fields[1:])
     if not alphabet:
         r.fail(lineno, "alphabet must list at least one symbol")
-    out = r.ids(groups["state"], "out", alphabet)
+    out = r.ids(groups["state"], "out")
+    for (lineno, _), sym in zip(groups["state"], out.values()):
+        if sym not in alphabet:
+            r.fail(lineno, f"label {sym!r} is not in the alphabet")
     init = r.init(groups, out)
     nxt = r.edges(groups["edge"], out, DIRS, total=True)
     return RegularTree(name, alphabet, init, nxt, out).check()
@@ -228,11 +210,19 @@ def parse_chain(text, filename="<chain>"):
     r = _Reader(text, filename)
     name = r.header("chain")
     groups = r.groups({"state", "init", "edge"})
-    accept = r.ids(groups["state"], "accept")
-    init = r.init(groups, accept)
-    delta = r.edges(groups["edge"], accept, DIRS, total=False)
-    return RegularAntichain(name, tuple(accept), init, delta,
-                            frozenset(s for s in accept if accept[s])).check()
+    states, accepting = [], set()
+    for lineno, fields in groups["state"]:
+        if len(fields) < 2 or fields[2:] not in ([], ["accept"]):
+            r.fail(lineno, "expected `state <id> [accept]`")
+        if fields[1] in states:
+            r.fail(lineno, f"state {fields[1]} declared twice")
+        states.append(fields[1])
+        if fields[2:]:
+            accepting.add(fields[1])
+    init = r.init(groups, states)
+    delta = r.edges(groups["edge"], states, DIRS, total=False)
+    return RegularAntichain(name, tuple(states), init, delta,
+                            frozenset(accepting)).check()
 
 
 # ---------------------------------------------------------------- .pta
@@ -256,8 +246,11 @@ def parse_pta(text, filename="<pta>"):
     alphabet = tuple(fields[1:])
     if not alphabet:
         r.fail(lineno, "alphabet must list at least one symbol")
-    color = {q: int(c) for q, c in
-             r.ids(groups["state"], "color", _Naturals()).items()}
+    color = r.ids(groups["state"], "color")
+    for (lineno, _), (q, c) in zip(groups["state"], color.items()):
+        if not c.isdigit():
+            r.fail(lineno, f"color {c!r} is not a natural number")
+        color[q] = int(c)
     lineno, fields = r.single(groups, "init", "the initial states")
     if len(fields) < 2:
         r.fail(lineno, "expected `init <id> [<id>...]`")
@@ -453,7 +446,10 @@ def parse_moore(text, filename="<moore>"):
     inputs = tuple(fields[1:])
     _, fields = r.single(groups, "outputs", "the output alphabet")
     outputs = tuple(fields[1:])
-    out = r.ids(groups["state"], "out", outputs)
+    out = r.ids(groups["state"], "out")
+    for (lineno, _), sym in zip(groups["state"], out.values()):
+        if sym not in outputs:
+            r.fail(lineno, f"output {sym!r} is not declared")
     init = r.init(groups, out)
     delta = r.edges(groups["edge"], out, inputs, total=True)
     return MooreMachine(name, inputs, outputs, tuple(out), init,
@@ -479,9 +475,10 @@ def parse_run(text, filename="<run>"):
     a concrete automaton and tree.
     """
     r = _Reader(text, filename)
-    head = r.header("run")
+    form = "run of=<pta> on=<tree>"
+    head = r.header("run", form)
     if not head.startswith("of=") or " on=" not in head:
-        r.fail(r.head, "expected `run of=<pta> on=<tree>`")
+        r.fail(r.head, f"expected `{form}`")
     of_name, on_name = head[3:].rsplit(" on=", 1)
     return of_name, on_name, _mtree(r)
 
@@ -523,9 +520,10 @@ def serialize_straj(strj):
 def parse_straj(text, filename="<straj>"):
     """Returns (name, of_name, init, next, raw out) over printable tokens."""
     r = _Reader(text, filename)
-    header = r.header("straj")
+    form = "straj <name> of=<pta>"
+    header = r.header("straj", form)
     if " of=" not in " " + header:
-        r.fail(r.head, "expected `straj <name> of=<pta>`")
+        r.fail(r.head, f"expected `{form}`")
     name, of_name = (" " + header).rsplit(" of=", 1)
     name = name.strip()
     groups = r.groups({"state", "init", "edge", "out"})

@@ -33,6 +33,13 @@ def test_validate_broken_reports_file_and_line(capsys):
     assert "broken.pta:5" in capsys.readouterr().err
 
 
+def test_validate_state_row_without_color_exits_two(capsys, tmp_path):
+    bad = tmp_path / "bad.pta"
+    bad.write_text("pta p\nalphabet c\nstate q\ninit q\n")
+    assert run(["validate", str(bad)]) == 2
+    assert f"{bad}:3: " in capsys.readouterr().err
+
+
 def test_validate_missing_and_unknown_files(capsys):
     assert run(["validate", data("nosuch.pta")]) == 2
     assert run(["validate", data("tc.mtree") + ".bak"]) == 2

@@ -211,6 +211,29 @@ def test_bad_row_reports_its_own_line(ext):
     assert (e.value.filename, e.value.lineno) == ("bad" + ext, lineno)
 
 
+@pytest.mark.parametrize("parse,text,lineno", [
+    pytest.param(formats.parse_pta, "pta p\nalphabet c\nstate q\n", 3,
+                 id="pta"),
+    pytest.param(formats.parse_mtree, "mtree t\nalphabet c\nstate 0\n", 3,
+                 id="mtree"),
+    pytest.param(formats.parse_moore,
+                 "moore m\ninputs a\noutputs a\nstate s\n", 4, id="moore"),
+    pytest.param(formats.parse_run,
+                 "run of=a on=t\nmtree m\nalphabet q\n\nstate 0\n", 5,
+                 id="run"),
+    pytest.param(formats.parse_fta,
+                 "fta f\nleafalpha x\ninnalpha c\nstate\n", 4, id="fta"),
+    pytest.param(formats.parse_chain, "chain c\nstate\n", 2, id="chain"),
+    pytest.param(formats.parse_straj, "straj s of=p\nstate\n", 2,
+                 id="straj"),
+])
+def test_state_row_without_its_attribute_reports_its_line(parse, text,
+                                                          lineno):
+    with pytest.raises(ParseError) as e:
+        parse(text, "bad")
+    check_error(e, "bad", lineno, "expected `state <id>")
+
+
 def test_straj_rejects_repeated_edge_and_out_rows():
     head = "straj s of=p\nstate 0\ninit 0\nedge 0 l 0\nedge 0 r 0\n"
     with pytest.raises(ParseError) as e:
@@ -275,6 +298,13 @@ def test_run_header_mismatch_reports_line():
     with pytest.raises(ParseError) as e:
         formats.parse_run("run on=t of=a\nmtree m\n", "x.run")
     assert e.value.lineno == 1
+
+
+@pytest.mark.parametrize("text", ["", "mtree m\n", "run\n"])
+def test_run_header_error_names_the_run_form(text):
+    with pytest.raises(ParseError) as e:
+        formats.parse_run(text, "x.run")
+    check_error(e, "x.run", 1, "expected `run of=<pta> on=<tree>`")
 
 
 def test_missing_file_directive_reports_expected_form():
