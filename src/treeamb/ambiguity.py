@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 from .automata import (ParityTreeAutomaton, conjunction_dpw_tuple,
                        restrict_initials)
-from .errors import AlphabetMismatch, InconsistentRun, NotMember
-from .games import (AUTOMATON, PATHFINDER, ParityGameArena, bfs, solve,
+from .errors import InconsistentRun, NotMember
+from .games import (AUTOMATON, ParityGameArena, automaton_wins, bfs, solve,
                     strongly_connected_components)
 from .membership import RegularRun, _product_arena, run_is_accepting
 from .trees import build_tree, tree_equal
@@ -42,35 +42,41 @@ UNCOUNTABLE = "uncountable"
 
 # ----------------------------------------------------------------- emptiness
 
-def _emptiness_game(a):
-    """Arena: states pick a transition, transitions branch to both children.
+def _emptiness_ids(a):
+    """The emptiness game on dense int ids, and the name of each id.
 
-    States and transition tuples are tagged to keep them apart; a state
-    with no transitions at all is a losing sink for Automaton.
+    States pick a transition, transitions branch to both children.  State
+    q is named ("q", q) and transition tr ("t", tr): the states come first
+    in str order, then each state's transitions in str order, which is
+    also the order of the state's moves.  A state with no transitions at
+    all is a losing sink for Automaton.  Returns (succ, owner, color,
+    sinks, names) in the form of games.automaton_wins.
     """
-    owner, color, edges = {}, {}, {}
-    sinks = set()
     bystate = {}
     for tr in a.delta:
         bystate.setdefault(tr[0], []).append(tr)
-    for q in a.states:
-        v = ("q", q)
-        owner[v] = AUTOMATON
-        color[v] = a.color[q]
+    states = sorted(a.states, key=str)
+    ids = {q: i for i, q in enumerate(states)}
+    names = [("q", q) for q in states]
+    succ, owner = [], bytearray(len(states))
+    color = [a.color[q] for q in states]
+    sinks, kids = [], []
+    for i, q in enumerate(states):
         trs = sorted(bystate.get(q, ()), key=str)
-        if trs:
-            edges[v] = tuple(("t", tr) for tr in trs)
-        else:
-            edges[v] = ()
-            sinks.add(v)
-        for tr in trs:
-            w = ("t", tr)
-            if w not in owner:
-                owner[w] = PATHFINDER
-                color[w] = 0
-                edges[w] = (("q", tr[2]), ("q", tr[3]))
-    return ParityGameArena(f"empty[{a.name}]", owner, color, edges,
-                           frozenset(sinks))
+        if not trs:
+            sinks.append(i)
+        succ.append(tuple(range(len(names), len(names) + len(trs))))
+        names += [("t", tr) for tr in trs]
+        kids += [(ids[tr[2]], ids[tr[3]]) for tr in trs]
+    succ += kids
+    owner += b"\x01" * len(kids)
+    color += [0] * len(kids)
+    return succ, owner, color, sinks, names
+
+
+def _emptiness_game(a):
+    """The emptiness game of _emptiness_ids as a ParityGameArena."""
+    return ParityGameArena.relabelled(f"empty[{a.name}]", *_emptiness_ids(a))
 
 
 def emptiness(a):
@@ -93,9 +99,9 @@ def emptiness(a):
 
 def nonempty_states(a):
     """States from which some accepting run exists (on some tree)."""
-    analysis = solve(_emptiness_game(a))
-    return frozenset(q for q in a.states
-                     if analysis.winner_of(("q", q)) == AUTOMATON)
+    succ, owner, color, sinks, names = _emptiness_ids(a)
+    won = automaton_wins(succ, owner, color, sinks)
+    return frozenset(names[i][1] for i in range(len(a.states)) if i in won)
 
 
 # ------------------------------------------------------ k distinct runs
@@ -196,7 +202,8 @@ def is_k_ambiguous(a, k):
     """True iff no tree at all has more than k distinct accepting runs."""
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    return emptiness(_k_distinct(a, k + 1)[0]) is None
+    b = _k_distinct(a, k + 1)[0]
+    return not nonempty_states(b) & b.initials
 
 
 # ------------------------------------------------------- counting core
@@ -211,9 +218,6 @@ class _RunCounts:
     """
 
     def __init__(self, a, t):
-        if not set(t.alphabet) <= set(a.alphabet):
-            raise AlphabetMismatch(
-                f"{t.name} is over {t.alphabet}, outside {a.name}'s alphabet")
         self.automaton = a
         self.tree = t
         arena, inits = _product_arena(a, t, f"count[{a.name},{t.name}]")

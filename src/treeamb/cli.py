@@ -209,8 +209,8 @@ def _cmd_leads(args):
     t0 = _load(args.t0, ".mtree")
     tprime = _load(args.tprime, ".mtree")
     _, _, raw_mach = _load(args.run, ".run")
-    phi = formats.bind_run(raw_mach, a, tprime)
-    strj = formats.bind_straj(_load(args.straj, ".straj"), a)
+    phi = formats.bind_run(raw_mach, a, tprime, args.run)
+    strj = formats.bind_straj(_load(args.straj, ".straj"), a, args.straj)
     v = leads(a, t0, strj, tprime, phi)
     print(v if v else "-")
     return 0

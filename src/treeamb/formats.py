@@ -133,7 +133,8 @@ class _Reader:
         return nxt
 
     def transitions(self, rows, declared, letters):
-        """The set of (q, sym, ql, qr) of `trans <q> <sym> <ql> <qr>` rows."""
+        """The set of (q, sym, ql, qr) of `trans <q> <sym> <ql> <qr>` rows,
+        each at most once."""
         delta = set()
         for lineno, fields in rows:
             if len(fields) != 5:
@@ -142,6 +143,8 @@ class _Reader:
             self.known(lineno, (q, ql, qr), declared)
             if sym not in letters:
                 self.fail(lineno, f"letter {sym!r} is not in {letters}")
+            if (q, sym, ql, qr) in delta:
+                self.fail(lineno, f"transition {q} {sym} {ql} {qr} listed twice")
             delta.add((q, sym, ql, qr))
         return frozenset(delta)
 
@@ -298,6 +301,8 @@ def parse_fta(text, filename="<fta>"):
         r.known(lineno, fields[1:2], states)
         if fields[2] not in alphabet0:
             r.fail(lineno, f"symbol {fields[2]!r} is not a leaf symbol")
+        if (fields[1], fields[2]) in delta0:
+            r.fail(lineno, f"leaf {fields[1]} {fields[2]} listed twice")
         delta0.add((fields[1], fields[2]))
     delta2 = r.transitions(groups["trans"], states, alphabet2)
     return FiniteTreeAutomaton(name, alphabet0, alphabet2, frozenset(states),
@@ -483,13 +488,14 @@ def parse_run(text, filename="<run>"):
     return of_name, on_name, _mtree(r)
 
 
-def bind_run(machine, automaton, tree):
-    """Interpret a parsed run machine against an automaton and a tree."""
+def bind_run(machine, automaton, tree, filename="<run>"):
+    """Interpret a parsed run machine against an automaton and a tree;
+    errors name filename, the file the machine was read from."""
     toks = token_map(automaton.states)
     back = {tok: q for q, tok in toks.items()}
     missing = [sym for sym in machine.alphabet if sym not in back]
     if missing:
-        raise ParseError(machine.name, 0,
+        raise ParseError(filename, 0,
                          f"run states {missing} are not states of "
                          f"{automaton.name}")
     mach = RegularTree(machine.name, tuple(sorted(automaton.states, key=str)),
@@ -542,8 +548,9 @@ def parse_straj(text, filename="<straj>"):
     return name, of_name, init, nxt, out
 
 
-def bind_straj(parsed, automaton):
-    """Attach a parsed strategy to its automaton, checking totality."""
+def bind_straj(parsed, automaton, filename="<straj>"):
+    """Attach a parsed strategy to its automaton, checking totality; errors
+    name filename, the file the strategy was read from."""
     name, _, init, nxt, rawout = parsed
     toks = token_map(automaton.states)
     back = {tok: q for q, tok in toks.items()}
@@ -552,12 +559,13 @@ def bind_straj(parsed, automaton):
         out[s] = {}
         for (ql, qr), d in table.items():
             if ql not in back or qr not in back:
-                raise ParseError(name, 0,
+                raise ParseError(filename, 0,
                                  f"out entry ({ql},{qr}) of state {s} is not "
                                  f"over states of {automaton.name}")
             out[s][(back[ql], back[qr])] = d
         if len(out[s]) != len(automaton.states) ** 2:
-            raise ParseError(name, 0, f"out map of state {s} is not total")
+            raise ParseError(filename, 0,
+                             f"out map of state {s} is not total")
     return PathfinderStrategyTree(name, automaton, init, nxt, out)
 
 

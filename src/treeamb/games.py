@@ -4,15 +4,26 @@ Vertices are owned by the Automaton player ("A", wants the maximal color
 seen infinitely often to be even) or the Pathfinder ("P", wants it odd).
 A declared sink loses for its owner.
 
-solve() is Zielonka's attractor decomposition on dense integer ids.  The
-vertices and sink gadgets are interned once, in str order, so predecessor
-lists and attractor queues break ties in str order.  One liveness
+One Zielonka core, _solve_ids(), runs the attractor decomposition on an
+int arena: dense ids 0..n-1 with successor tuples, a 0/1 owner bytearray
+(Automaton/Pathfinder) and colors, every id with a move.  One liveness
 bytearray marks the current subgame, and an explicit frame stack replaces
 the recursion, so a deep color hierarchy needs no interpreter recursion.
+Ties break in id order.
+
+solve() is the front end for callers that read strategies: it interns the
+vertices and sink gadgets of a ParityGameArena in str order, so its
+regions and strategies do not depend on how the arena was built, and maps
+both back.  Winning regions are unique, so callers that need only the
+winner of some vertices skip the front end: automaton_wins() checks an
+int arena built in any order, closes its sinks with gadget ids appended
+after it, and runs the same core.
+
 solve_oracle() recomputes both regions with progress measures on the
 original vertices and exists purely as an independent cross-check.
 """
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 
@@ -49,6 +60,18 @@ class ParityGameArena:
         if self.init is not None and self.init not in self.owner:
             raise MalformedArena(f"initial vertex {self.init!r} undeclared")
         return self
+
+    @classmethod
+    def relabelled(cls, name, succ, owner, color, sinks, names, init=None):
+        """The arena of an int arena (as automaton_wins takes it) whose id
+        i is named names[i]; edges keep their order."""
+        label = names.__getitem__
+        return cls(name,
+                   dict(zip(names, map((AUTOMATON, PATHFINDER).__getitem__,
+                                       owner))),
+                   dict(zip(names, color)),
+                   {v: tuple(map(label, ws)) for v, ws in zip(names, succ)},
+                   frozenset(map(label, sinks)), init)
 
 
 @dataclass
@@ -185,14 +208,83 @@ def _zielonka(vertices, succ, pred, owner, color, choice):
         vertices += [v for v in sub[sigma] if alive[v]]
 
 
+def _close_sink(succ, owner, color, v, g):
+    """Make id g the gadget of sink v: a self-loop that loses for v's owner,
+    and v's one move."""
+    owner[g] = owner[v]
+    color[g] = 1 - owner[v]
+    succ[g] = (g,)
+    succ[v] = (g,)
+
+
+def _solve_ids(succ, owner, color):
+    """Zielonka on an int arena whose every id has a move.
+
+    Returns (won, choice): won holds Automaton's and Pathfinder's winning
+    id lists, and choice[v] is v's strategy move when v lies in its
+    owner's region.
+    """
+    nums = list(range(len(succ)))   # one int object per id, in every list
+    pred = [[] for _ in nums]
+    for v, ws in zip(nums, succ):
+        for w in ws:
+            pred[w].append(v)
+    choice = [None] * len(nums)
+    return _zielonka(nums, succ, pred, owner, color, choice), choice
+
+
+def _check_ids(succ, owner, color, sinks):
+    """ParityGameArena.check for an int arena on ids 0..n-1."""
+    n = len(succ)
+    if len(owner) != n or len(color) != n:
+        raise MalformedArena(f"{n} vertices but {len(owner)} owners and "
+                             f"{len(color)} colors")
+    if n and max(owner) > 1:
+        v = next(v for v, o in enumerate(owner) if o > 1)
+        raise MalformedArena(f"vertex {v} has owner {owner[v]!r}")
+    if n and min(color) < 0:
+        v = next(v for v, c in enumerate(color) if c < 0)
+        raise MalformedArena(f"vertex {v} lacks a valid color")
+    for v in sinks:
+        if succ[v]:
+            raise MalformedArena(f"sink {v} has outgoing edges")
+    if succ.count(()) != len(set(sinks)):
+        sinkset = set(sinks)
+        v = next(v for v, ws in enumerate(succ) if not ws and v not in sinkset)
+        raise MalformedArena(f"vertex {v} has no move and is not a sink")
+    heads = list(itertools.chain.from_iterable(succ))
+    if heads and not (min(heads) >= 0 and max(heads) < n):
+        v, w = next((v, w) for v, ws in enumerate(succ) for w in ws
+                    if not 0 <= w < n)
+        raise MalformedArena(f"edge {v} -> {w} dangling")
+
+
+def automaton_wins(succ, owner, color, sinks):
+    """The set of ids Automaton wins in the int arena on ids 0..n-1.
+
+    owner[v] is 0 for Automaton and 1 for Pathfinder; the listed sinks have
+    no move and lose for their owner.  The arena is checked like
+    ParityGameArena.check, and left as it was.  Ids need no particular
+    order: the regions do not depend on it.
+    """
+    _check_ids(succ, owner, color, sinks)
+    n, k = len(succ), len(sinks)
+    succ, owner, color = succ + [None] * k, owner + bytearray(k), color + [0] * k
+    for g, v in enumerate(sinks, n):
+        _close_sink(succ, owner, color, v, g)
+    won = set(_solve_ids(succ, owner, color)[0][0])
+    won.difference_update(range(n, n + k))      # the gadgets
+    return won
+
+
 def solve(arena):
-    """Winning regions and positional strategies, by attractor decomposition."""
+    """Winning regions and positional strategies, by attractor decomposition
+    on the vertices and sink gadgets interned in str order."""
     arena.check()
     gadgets = {("__lost__", v): v for v in arena.sinks}
     verts = sorted(arena.owner.keys() | gadgets.keys(), key=str)
     n = len(verts)
-    nums = list(range(n))      # one int object per id, shared by every list
-    ids = dict(zip(verts, nums))
+    ids = dict(zip(verts, range(n)))
     edges = arena.edges.get
     succ = [tuple(map(ids.__getitem__, edges(v, ()))) for v in verts]
     owner = bytearray([o == PATHFINDER for o in map(arena.owner.get, verts)])
@@ -200,17 +292,9 @@ def solve(arena):
     lost = bytearray(n)         # the sink gadgets
     for g, v in gadgets.items():
         i = ids[g]
-        owner[i] = arena.owner[v] == PATHFINDER
-        color[i] = 1 - owner[i]
-        succ[i] = (i,)
-        succ[ids[v]] = (i,)
+        _close_sink(succ, owner, color, ids[v], i)
         lost[i] = 1
-    pred = [[] for _ in range(n)]
-    for v, ws in zip(nums, succ):
-        for w in ws:
-            pred[w].append(v)
-    choice = [None] * n
-    won = _zielonka(nums, succ, pred, owner, color, choice)
+    won, choice = _solve_ids(succ, owner, color)
     region, strategy = {}, {}
     for p, player in enumerate((AUTOMATON, PATHFINDER)):
         region[player] = frozenset(verts[v] for v in won[p] if not lost[v])

@@ -22,40 +22,66 @@ from dataclasses import dataclass
 from .automata import single_initial
 from .errors import (AlphabetMismatch, IncompleteStrategy, InconsistentRun,
                      IsMember, NotMember, PreconditionViolated, StateMismatch)
-from .games import (AUTOMATON, PATHFINDER, ParityGameArena, bfs,
-                    has_cycle_with_max_color, solve)
+from .games import (AUTOMATON, PATHFINDER, ParityGameArena, automaton_wins,
+                    bfs, has_cycle_with_max_color, solve)
 from .trees import (RegularTree, build_tree, check_path, graft_node,
                     tree_equal)
 
 
-def _product_arena(a, t, name):
-    """Arena of the membership game, explored from all initial states.
+def _product_ids(a, t, given=None):
+    """The membership product on dense int ids, and the name of each id.
 
-    Vertices: (m, q) owned by Automaton with color C(q), and (m, ql, qr)
-    owned by Pathfinder with color 0.  An Automaton vertex with no
-    transition on the node's label is a losing sink.  Returns the arena and
-    the list of initial Automaton vertices (one per initial state of a).
+    Vertex names[i] is numbered i when the breadth-first walk from the
+    initial vertices first discovers it, the initial Automaton vertices
+    (t.init, q) first, q in str order.  Returns (succ, owner, color,
+    sinks, names) in the form of games.automaton_wins: (m, q) is owned by
+    Automaton (0) with color C(q), and (m, ql, qr) by Pathfinder (1) with
+    color 0; an Automaton vertex with no transition on the node's label is
+    a losing sink.  A tree with a letter outside a's alphabet raises
+    AlphabetMismatch naming given, the automaton as the caller was given it
+    (a by default).
     """
-    owner, color, edges = {}, {}, {}
-    sinks = set()
-    inits = [(t.init, q) for q in sorted(a.initials, key=str)]
-    for v in bfs(inits, edges.__getitem__):
+    if not set(t.alphabet) <= set(a.alphabet):
+        raise AlphabetMismatch(f"{t.name} is over {t.alphabet}, outside "
+                               f"{(given or a).name}'s alphabet")
+    names = [(t.init, q) for q in sorted(a.initials, key=str)]
+    ids = {v: i for i, v in enumerate(names)}
+    succ, owner, color, sinks = [], bytearray(), [], []
+    out, nxt, moves, col = t.out, t.next, a.moves, a.color
+    for v in names:     # names grows while it is walked
         if len(v) == 2:
             m, q = v
-            owner[v] = AUTOMATON
-            color[v] = a.color[q]
-            succ = tuple((m, ql, qr) for ql, qr in a.moves(q, t.out[m]))
-            if not succ:
-                sinks.add(v)
+            owner.append(0)
+            color.append(col[q])
+            kids = [(m, ql, qr) for ql, qr in moves(q, out[m])]
+            if not kids:
+                sinks.append(len(succ))
         else:
             m, ql, qr = v
-            owner[v] = PATHFINDER
-            color[v] = 0
-            succ = ((t.next[(m, "l")], ql), (t.next[(m, "r")], qr))
-        edges[v] = succ
+            owner.append(1)
+            color.append(0)
+            kids = ((nxt[(m, "l")], ql), (nxt[(m, "r")], qr))
+        ws = []
+        for w in kids:
+            j = ids.get(w)
+            if j is None:
+                j = ids[w] = len(names)
+                names.append(w)
+            ws.append(j)
+        succ.append(tuple(ws))
+    return succ, owner, color, sinks, names
+
+
+def _product_arena(a, t, name, given=None):
+    """Arena of the membership game, explored from all initial states: the
+    int product of _product_ids relabelled by its vertex names.  Returns
+    the arena and the list of initial Automaton vertices (one per initial
+    state of a).
+    """
+    *int_arena, names = _product_ids(a, t, given)
+    inits = names[:len(a.initials)]
     init = inits[0] if len(inits) == 1 else None
-    return ParityGameArena(name, owner, color, edges,
-                           frozenset(sinks), init), inits
+    return ParityGameArena.relabelled(name, *int_arena, names, init), inits
 
 
 @dataclass
@@ -73,18 +99,18 @@ def build_game(a, t):
     game has one initial position; the original automaton is kept on the
     result for converting strategies back to runs over its real states.
     """
-    if not set(t.alphabet) <= set(a.alphabet):
-        raise AlphabetMismatch(
-            f"{t.name} is over {t.alphabet}, outside {a.name}'s alphabet")
     normalized = a if len(a.initials) == 1 else single_initial(a)
-    arena, inits = _product_arena(normalized, t, f"G[{a.name},{t.name}]")
+    arena, _ = _product_arena(normalized, t, f"G[{a.name},{t.name}]", a)
     return MembershipGame(arena, normalized, a, t)
 
 
 def member(a, t):
-    """Is t in the language of a?"""
-    g = build_game(a, t)
-    return solve(g.arena).winner_of(g.arena.init) == AUTOMATON
+    """Is t in the language of a?  Decided on the int product explored from
+    every initial state: t is accepted iff Automaton wins from one of
+    them."""
+    succ, owner, color, sinks, _ = _product_ids(a, t)
+    won = automaton_wins(succ, owner, color, sinks)
+    return any(i in won for i in range(len(a.initials)))
 
 
 @dataclass

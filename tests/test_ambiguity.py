@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treeamb.ambiguity import (INFINITE, UNCOUNTABLE, AmbiguityVerdict,
-                               _k_distinct, at_least_k, classify, emptiness,
+                               _emptiness_game, _emptiness_ids, _k_distinct,
+                               at_least_k, classify, emptiness,
                                find_regeneration_witness,
                                k_distinct_runs_automaton, is_k_ambiguous,
                                nonempty_states, witness_is_valid)
@@ -15,6 +16,7 @@ from treeamb.automata import (ParityTreeAutomaton, det_pta_for_tree,
                               intersect, trim_useful, union)
 from treeamb.errors import NotMember
 from treeamb.formats import serialize_pta
+from treeamb.games import AUTOMATON, PATHFINDER, ParityGameArena, solve
 from treeamb.membership import member, run_is_accepting
 from treeamb.trees import (build_tree, constant_tree, graft_antichain,
                            graft_node, lstar_r_antichain, tree_equal)
@@ -417,3 +419,67 @@ def test_classify_x_below_y():
         AmbiguityVerdict.exact(1)
     assert classify(a, constant_tree("11", a.alphabet), 3) == \
         AmbiguityVerdict.exact(1)
+
+
+# ------------------------------------------------- int emptiness game
+
+def structural_emptiness_game(a):
+    """The emptiness arena built straight on tagged vertices: the reference
+    for the int build."""
+    owner, color, edges, sinks = {}, {}, {}, set()
+    for q in a.states:
+        v = ("q", q)
+        owner[v], color[v] = AUTOMATON, a.color[q]
+        trs = sorted((tr for tr in a.delta if tr[0] == q), key=str)
+        edges[v] = tuple(("t", tr) for tr in trs)
+        if not trs:
+            sinks.add(v)
+        for tr in trs:
+            owner[("t", tr)], color[("t", tr)] = PATHFINDER, 0
+            edges[("t", tr)] = (("q", tr[2]), ("q", tr[3]))
+    return ParityGameArena(f"empty[{a.name}]", owner, color, edges,
+                           frozenset(sinks))
+
+
+def _emptiness_cases():
+    rng = random.Random(20261018)
+    cases = [random_pta(rng, ALPHA, rng.randint(1, 5), rng.randint(0, 8), 3)
+             for _ in range(40)]
+    return cases + [all_odd(), NOT_A1, zoo.zoo_neg_union(2), zoo.zoo_lfa(),
+                    zoo.zoo_exists_a1(), zoo.zoo_free2()]
+
+
+def test_int_emptiness_game_relabels_to_the_structural_arena():
+    for a in _emptiness_cases():
+        succ, owner, color, sinks, names = _emptiness_ids(a)
+        assert names[:len(a.states)] == [("q", q) for q in
+                                         sorted(a.states, key=str)]
+        arena = _emptiness_game(a)
+        assert arena == structural_emptiness_game(a)
+        assert arena.check() is arena
+        assert [arena.edges[v] for v in names] == [
+            tuple(names[j] for j in ws) for ws in succ]
+
+
+def test_nonempty_states_and_is_k_ambiguous_agree_with_solve():
+    cases = _emptiness_cases()
+    answers = set()
+    for a in cases:
+        analysis = solve(structural_emptiness_game(a))
+        won = frozenset(q for q in a.states
+                        if analysis.winner_of(("q", q)) == AUTOMATON)
+        assert nonempty_states(a) == won
+        answers.add(won == a.states)
+    assert answers == {True, False}
+    rng = random.Random(11)
+    small = [random_pta(rng, ALPHA, 3, rng.randint(0, 5), 1) for _ in range(10)]
+    verdicts = set()
+    for a in small + [NOT_A1, zoo.zoo_neg_union(2), zoo.zoo_exists_a1()]:
+        for k in (1, 2):
+            b = _k_distinct(a, k + 1)[0]
+            analysis = solve(structural_emptiness_game(b))
+            empty = all(analysis.winner_of(("q", q)) == PATHFINDER
+                        for q in b.initials)
+            assert is_k_ambiguous(a, k) == empty
+            verdicts.add(empty)
+    assert verdicts == {True, False}

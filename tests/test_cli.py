@@ -3,6 +3,8 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -247,3 +249,34 @@ def test_unwritable_output_path_exits_two(capsys, tmp_path, argv):
     assert run([a.format(**paths) for a in argv]) == 2
     err = capsys.readouterr().err
     assert any(f"{p}:0: " in err for p in paths.values()), err
+
+
+def test_validate_repeated_trans_row_exits_two(capsys, tmp_path):
+    text = open(data("free2.pta")).read()
+    row = next(line for line in text.splitlines() if line.startswith("trans"))
+    bad = tmp_path / "twice.pta"
+    bad.write_text(text + row + "\n")
+    assert run(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:{len(text.splitlines()) + 1}: " in err, err
+
+
+@pytest.mark.parametrize("automaton,straj,bad", [
+    ("free2.pta", "t0.straj", "phi.run"),         # run states unknown
+    ("exists_a1.pta", "partial.straj", "partial.straj"),    # map not total
+])
+def test_leads_binding_errors_name_the_file(capsys, automaton, straj, bad):
+    assert run(["leads", "-a", data(automaton), "--t0", data("t0.mtree"),
+                "--tprime", data("tprime.mtree"), "--run", data("phi.run"),
+                "--straj", data(straj)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{data(bad)}:0: "), err
+
+
+def test_python_dash_m_treeamb_runs_the_cli():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "treeamb", "validate", data("free2.pta")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "ok\n"), done.stderr

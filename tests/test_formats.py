@@ -244,6 +244,28 @@ def test_straj_rejects_repeated_edge_and_out_rows():
     check_error(e, "s.straj", 7, "two out rows")
 
 
+def with_first_row_repeated(text, directive):
+    """text with its first `directive` row appended again, and the line
+    number of the copy."""
+    row = next(line for line in text.splitlines()
+               if line.split()[0] == directive)
+    return text + row + "\n", len(text.splitlines()) + 1
+
+
+@pytest.mark.parametrize("name,directive", [
+    ("free2.pta", "trans"), ("leafnode.fta", "trans"),
+    ("leafnode.fta", "leaf")])
+def test_pta_and_fta_reject_repeated_rows(name, directive):
+    text, lineno = with_first_row_repeated(fixture(name), directive)
+    parse = PARSE[os.path.splitext(name)[1]]
+    with pytest.raises(ParseError) as e:
+        parse(text, name)
+    check_error(e, name, lineno, "listed twice")
+    # without the copy the file round-trips byte for byte
+    assert SERIALIZE[os.path.splitext(name)[1]](parse(fixture(name))) == \
+        fixture(name)
+
+
 def test_undeclared_transition_state_reports_line():
     with pytest.raises(ParseError) as e:
         formats.parse_pta(fixture("broken.pta"), "broken.pta")

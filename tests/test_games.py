@@ -7,9 +7,10 @@ import pytest
 from test_membership import random_pta, random_tree
 from treeamb.ambiguity import _RunCounts
 from treeamb.errors import IncompleteStrategy, MalformedArena
-from treeamb.games import (AUTOMATON, PATHFINDER, ParityGameArena, bfs,
-                           has_cycle_with_max_color, solve, solve_oracle,
-                           strongly_connected_components, verify_strategy)
+from treeamb.games import (AUTOMATON, PATHFINDER, ParityGameArena,
+                           automaton_wins, bfs, has_cycle_with_max_color,
+                           solve, solve_oracle, strongly_connected_components,
+                           verify_strategy)
 
 
 def arena(owner, color, edges, sinks=(), name="g", init=None):
@@ -256,3 +257,40 @@ def test_branching_is_reaching_two_winning_moves():
             assert counts.branching()[v] == naive
             seen.add(naive)
     assert seen == {False, True}
+
+
+def int_form(g, order):
+    """g's vertices numbered in the given order, as automaton_wins takes
+    them."""
+    ids = {v: i for i, v in enumerate(order)}
+    succ = [tuple(ids[w] for w in g.edges[v]) for v in order]
+    owner = bytearray(g.owner[v] == PATHFINDER for v in order)
+    return (succ, owner, [g.color[v] for v in order],
+            [ids[v] for v in order if v in g.sinks])
+
+
+def test_automaton_wins_matches_solve_in_any_numbering():
+    rng = random.Random(20261018)
+    for _ in range(150):
+        g = random_arena(rng, rng.randint(1, 9))
+        order = sorted(g.owner)
+        rng.shuffle(order)
+        succ, owner, color, sinks = int_form(g, order)
+        won = automaton_wins(succ, owner, color, sinks)
+        assert {order[i] for i in won} == solve(g).region[AUTOMATON]
+        assert int_form(g, order) == (succ, owner, color, sinks)  # untouched
+
+
+def test_malformed_int_arenas_rejected():
+    ok = ([(1,), ()], bytearray([0, 1]), [2, 1], [1])
+    assert automaton_wins(*ok) == {0, 1}     # Pathfinder's sink 1 loses
+    for succ, owner, color, sinks in [
+            ([()], bytearray([0]), [0], []),          # no move, not a sink
+            ([(0,)], bytearray([0]), [0], [0]),       # sink with a move
+            ([(1,)], bytearray([0]), [0], []),        # dangling edge
+            ([(-1,)], bytearray([0]), [0], []),       # dangling edge
+            ([(0,)], bytearray([2]), [0], []),        # no such owner
+            ([(0,)], bytearray([0]), [-1], []),       # negative color
+            ([(0,)], bytearray([0, 1]), [0], [])]:    # owner for no vertex
+        with pytest.raises(MalformedArena):
+            automaton_wins(succ, owner, color, sinks)

@@ -1,17 +1,22 @@
 """Membership game: arena shape, winner, strategy extraction, leads."""
 
+import hashlib
+import os
 import random
 
 import pytest
 
+from treeamb import cli
 from treeamb.automata import ParityTreeAutomaton, det_pta_for_tree, union
-from treeamb.errors import (IncompleteStrategy, InconsistentRun, IsMember,
-                            NotMember, PreconditionViolated, StateMismatch)
-from treeamb.games import AUTOMATON, PATHFINDER, solve, verify_strategy
-from treeamb.membership import (RegularRun, automaton_strategy_to_run,
-                                build_game, leads, member,
-                                pathfinder_strategy, run_check, run_graft,
-                                run_is_accepting)
+from treeamb.errors import (AlphabetMismatch, IncompleteStrategy,
+                            InconsistentRun, IsMember, NotMember,
+                            PreconditionViolated, StateMismatch)
+from treeamb.games import (AUTOMATON, PATHFINDER, ParityGameArena, solve,
+                           verify_strategy)
+from treeamb.membership import (RegularRun, _product_arena, _product_ids,
+                                automaton_strategy_to_run, build_game, leads,
+                                member, pathfinder_strategy, run_check,
+                                run_graft, run_is_accepting)
 from treeamb.trees import build_tree, constant_tree, graft_node, tree_equal
 from treeamb.zoo import forbid_letter, zoo_exists_a1, zoo_neg_union
 
@@ -326,3 +331,117 @@ def test_leads_label_difference_on_generated_instances():
         phi = automaton_strategy_to_run(g, solve(g.arena))
         v = leads(ea, T_C, strj, tprime, phi)
         assert T_C.label(v) != tprime.label(v)
+
+
+# ------------------------------------------------------- int product
+
+def structural_product(a, t, name):
+    """The membership arena built straight on tuple vertices, breadth first
+    from every initial state: the reference for the int build."""
+    owner, color, edges, sinks = {}, {}, {}, set()
+    inits = [(t.init, q) for q in sorted(a.initials, key=str)]
+    queue = list(inits)
+    for v in queue:
+        if v in owner:
+            continue
+        if len(v) == 2:
+            m, q = v
+            owner[v], color[v] = AUTOMATON, a.color[q]
+            edges[v] = tuple((m, ql, qr) for ql, qr in a.moves(q, t.out[m]))
+            if not edges[v]:
+                sinks.add(v)
+        else:
+            m, ql, qr = v
+            owner[v], color[v] = PATHFINDER, 0
+            edges[v] = ((t.next[(m, "l")], ql), (t.next[(m, "r")], qr))
+        queue += [w for w in edges[v] if w not in owner]
+    init = inits[0] if len(inits) == 1 else None
+    return ParityGameArena(name, owner, color, edges, frozenset(sinks),
+                           init), inits
+
+
+def multi_initial_cases(seed, count):
+    """Seeded random (automaton, tree) pairs; most automata have several
+    initial states and many products have sinks."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        a = random_pta(rng, ALPHA, rng.randint(1, 4), rng.randint(0, 6), 3)
+        states = sorted(a.states)
+        inits = frozenset(rng.sample(states, rng.randint(1, len(states))))
+        a = ParityTreeAutomaton(a.name, a.alphabet, a.states, inits, a.delta,
+                                a.color).check()
+        cases.append((a, random_tree(rng, ALPHA, rng.randint(1, 5))))
+    return cases
+
+
+def test_member_agrees_with_solving_the_structural_game():
+    cases = multi_initial_cases(20261018, 80)
+    verdicts = []
+    for a, t in cases:
+        g = build_game(a, t)
+        expected = solve(g.arena).winner_of(g.arena.init) == AUTOMATON
+        assert member(a, t) == expected, (a, t)
+        verdicts.append(expected)
+    assert True in verdicts and False in verdicts
+    assert sum(len(a.initials) > 1 for a, _ in cases) >= 30
+    assert sum(bool(_product_arena(a, t, "G")[0].sinks)
+               for a, t in cases) >= 20
+
+
+def test_int_product_relabels_to_the_structural_arena():
+    for a, t in multi_initial_cases(7, 40) + [(zoo_neg_union(2), T_C),
+                                             (NOT_A1, T_A1)]:
+        succ, owner, color, sinks, names = _product_ids(a, t)
+        assert len(succ) == len(owner) == len(color) == len(names)
+        assert len(set(names)) == len(names)
+        arena, inits = _product_arena(a, t, "G")
+        assert (arena, inits) == structural_product(a, t, "G")
+        assert list(arena.owner) == names     # numbered in discovery order
+        assert arena.check() is arena
+        assert [arena.edges[v] for v in names] == [
+            tuple(names[j] for j in ws) for ws in succ]
+        assert arena.sinks == frozenset(names[i] for i in sinks)
+
+
+def test_alphabet_mismatch_names_the_given_automaton():
+    free = ParityTreeAutomaton(
+        "two-starts", ("c",), frozenset(["p", "q"]), frozenset(["p", "q"]),
+        frozenset([("p", "c", "p", "p"), ("q", "c", "q", "q")]),
+        {"p": 0, "q": 0}).check()
+    for call in (member, build_game):
+        with pytest.raises(AlphabetMismatch) as e:
+            call(free, T_C)
+        assert str(e.value) == (f"{T_C.name} is over {T_C.alphabet}, "
+                                f"outside two-starts's alphabet")
+
+
+# sha256 of `treeamb game build` output on the shipped fixtures; the
+# structural arena must not depend on how the product is numbered
+GAME_BUILD_SHA256 = {
+    ("exists_a1.pta", "t0.mtree"):
+        "fe9a1a33c95bfc851a81b6543c71c053dc799b82e3cdd2090be1c67a12a31187",
+    ("exists_a1.pta", "tc.mtree"):
+        "fe9a1a33c95bfc851a81b6543c71c053dc799b82e3cdd2090be1c67a12a31187",
+    ("exists_a1.pta", "tprime.mtree"):
+        "884e4f2c4c6cf691ddd5d52c77e2c49569dea4769c508586e344312248b83c22",
+    ("free2.pta", "tc.mtree"):
+        "4832b757a8e69d724e05cfa99f8a8488c5a0c0d8e63623c34086535cc5821004",
+    ("negunion2.pta", "t0.mtree"):
+        "cb81efb5f2fadbe8094ec22413705ab48f7f6963930e20d807da748216cc4beb",
+    ("negunion2.pta", "tc.mtree"):
+        "cb81efb5f2fadbe8094ec22413705ab48f7f6963930e20d807da748216cc4beb",
+    ("negunion2.pta", "tprime.mtree"):
+        "d036749914b09ee2e04b268bafa7c2f4bd698548de33eb116238f6a59a308108",
+}
+
+
+@pytest.mark.parametrize("pta,mtree", sorted(GAME_BUILD_SHA256))
+def test_game_build_bytes_are_pinned(pta, mtree, tmp_path, capsys):
+    data = os.path.join(os.path.dirname(__file__), "data")
+    out = tmp_path / "g.game"
+    assert cli.run(["game", "build", "-a", os.path.join(data, pta),
+                    "-t", os.path.join(data, mtree), "-o", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == GAME_BUILD_SHA256[(pta, mtree)]
+    capsys.readouterr()
