@@ -246,6 +246,8 @@ def _check_ids(succ, owner, color, sinks):
         v = next(v for v, c in enumerate(color) if c < 0)
         raise MalformedArena(f"vertex {v} lacks a valid color")
     for v in sinks:
+        if not 0 <= v < n:
+            raise MalformedArena(f"sink {v} undeclared")
         if succ[v]:
             raise MalformedArena(f"sink {v} has outgoing edges")
     if succ.count(()) != len(set(sinks)):

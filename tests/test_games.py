@@ -287,6 +287,7 @@ def test_malformed_int_arenas_rejected():
     for succ, owner, color, sinks in [
             ([()], bytearray([0]), [0], []),          # no move, not a sink
             ([(0,)], bytearray([0]), [0], [0]),       # sink with a move
+            ([(0,)], bytearray([0]), [0], [1]),       # undeclared sink
             ([(1,)], bytearray([0]), [0], []),        # dangling edge
             ([(-1,)], bytearray([0]), [0], []),       # dangling edge
             ([(0,)], bytearray([2]), [0], []),        # no such owner
