@@ -39,11 +39,17 @@ from .trees import build_tree, tree_equal
 INFINITE = "infinite"
 UNCOUNTABLE = "uncountable"
 
+# a checker's (left, right) labels: done, or discharging here; or the
+# search handed to one child
+_DONE = (("d", "d"),)
+_SPLIT = (("s", "d"), ("d", "s"))
+
 
 # ----------------------------------------------------------------- emptiness
 
 def _emptiness_ids(a):
-    """The emptiness game on dense int ids, and the name of each id.
+    """The witness-path emptiness game on dense int ids, and the name of
+    each id; verdict-only callers use _emptiness_arena.
 
     States pick a transition, transitions branch to both children.  State
     q is named ("q", q) and transition tr ("t", tr): the states come first
@@ -97,17 +103,43 @@ def emptiness(a):
                       a.alphabet, name=f"wit[{a.name}]")
 
 
+def _emptiness_arena(color, moves):
+    """The verdict-only emptiness game of an automaton on states 0..n-1.
+
+    color[i] is state i's color and moves[i] the distinct (left, right)
+    pairs of state i's transitions; letters play no part in emptiness.
+    State i is Automaton's vertex i; each distinct pair, over all states,
+    is one Pathfinder vertex of color 0 after the states, with the two
+    children as its moves.  A state without moves is a losing sink.
+    Returns (succ, owner, color, sinks) for games.automaton_wins.
+    """
+    n = len(moves)
+    pair_ids = {}
+    succ = [tuple(n + pair_ids.setdefault(p, len(pair_ids)) for p in ps)
+            for ps in moves]
+    sinks = [i for i, ws in enumerate(succ) if not ws]
+    succ += pair_ids
+    owner = bytearray(n) + b"\x01" * len(pair_ids)
+    return succ, owner, list(color) + [0] * len(pair_ids), sinks
+
+
 def nonempty_states(a):
-    """States from which some accepting run exists (on some tree)."""
-    succ, owner, color, sinks, names = _emptiness_ids(a)
-    won = automaton_wins(succ, owner, color, sinks)
-    return frozenset(names[i][1] for i in range(len(a.states)) if i in won)
+    """States from which some accepting run exists (on some tree): the
+    states Automaton wins in a's _emptiness_arena game."""
+    states = list(a.states)
+    ids = {q: i for i, q in enumerate(states)}
+    moves = [set() for _ in states]
+    for q, _, ql, qr in a.delta:
+        moves[ids[q]].add((ids[ql], ids[qr]))
+    won = automaton_wins(*_emptiness_arena([a.color[q] for q in states],
+                                           moves))
+    return frozenset(q for q, i in ids.items() if i in won)
 
 
 # ------------------------------------------------------ k distinct runs
 
-def _k_distinct(a, k):
-    """The k-distinct-runs automaton on dense int states, and their names.
+def _k_distinct_walk(a, k):
+    """The reachable part of the k-distinct-runs product, breadth-first.
 
     k trackers each follow one candidate run; a checker per tracker pair
     starts searching and must eventually discharge, which it may do
@@ -115,81 +147,139 @@ def _k_distinct(a, k):
     leave the search); while the trackers agree it hands the search to
     one chosen child.  Acceptance folds the k tracker parities and one
     co-Buechi coordinate (search = 1, discharged = 0, maxed over the
-    checkers) through the parity-conjunction construction; the product is
-    built breadth-first so only the reachable part materializes.
+    checkers) through the parity-conjunction DPW.
 
-    Product state names[i] = (trackers, checkers, DPW state) is numbered i
-    when first discovered, the initial states first in str order, so the
-    int automaton hashes and prints its states cheaply.
+    Product state (trackers, checkers, DPW state) gets id i when first
+    discovered, the initial states first in str order.  The walk keys
+    states on int DPW ids and reads DPW moves from one int row per
+    reached DPW state, so it hashes the nested DPW states only to build
+    those rows.  Each (trackers, letter) has its tracker children and
+    their DPW letters computed once, and each state its checker
+    assignments.
+
+    Returns (names, color, ninit, steps): names[i] is state i, color[i]
+    its color, ids 0..ninit-1 the initial states, and steps[i] lists
+    (x, pairs) for each letter x on which state i moves, in alphabet
+    order, pairs being the (left, right) ids of those transitions.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     pairs = tuple(itertools.combinations(range(k), 2))
-    d = a.max_color()
-    dpw = conjunction_dpw_tuple((d,) * k + (1,))
+    dpw = conjunction_dpw_tuple((a.max_color(),) * k + (1,))
+    # DPW letter: tracker colors, then 1 while any checker searches
+    code = {x: i for i, x in enumerate(dpw.alphabet)}
+    dstates, dids, rows = [], {}, []
 
-    def colors(trackers):
-        return tuple(a.color[q] for q in trackers)
+    def dpw_id(ds):
+        if ds not in dids:
+            dids[ds] = len(dstates)
+            dstates.append(ds)
+            rows.append(None)
+        return dids[ds]
 
-    def letter(cols, checkers):
-        """DPW letter: tracker colors, then 1 while any checker searches."""
-        return cols + (1 if "s" in checkers else 0,)
+    def dpw_row(d):
+        """Successor DPW ids of DPW state d, indexed by letter code."""
+        if rows[d] is None:
+            rows[d] = [dpw_id(dpw.delta[(dstates[d], x)])
+                       for x in dpw.alphabet]
+        return rows[d]
 
-    def checker_options(trackers, checkers):
-        """Per-pair child assignments: list of (left, right) label lists."""
-        opts = []
-        for (i, j), c in zip(pairs, checkers):
-            if c == "d":
-                opts.append((("d", "d"),))
-            elif trackers[i] != trackers[j]:
-                opts.append((("d", "d"),))      # discharge here
-            else:
-                opts.append((("s", "d"), ("d", "s")))
-        return opts
+    def codes(trackers):
+        """The letter codes of trackers' colors without and with a search."""
+        cols = tuple(a.color[q] for q in trackers)
+        return code[cols + (0,)], code[cols + (1,)]
+
+    def tracker_children(trackers, x):
+        """(left trackers, right trackers, their codes) per move combination
+        on x; empty when some tracker has no move on x."""
+        moves = [a.moves(q, x) for q in trackers]
+        if not all(moves):
+            return ()
+        out = []
+        for combo in itertools.product(*moves):
+            ltr = tuple(m[0] for m in combo)
+            rtr = tuple(m[1] for m in combo)
+            out.append((ltr, rtr, codes(ltr), codes(rtr)))
+        return out
+
+    def assignments(trackers, checkers):
+        """(left checkers, right checkers, does the left search, does the
+        right search) per choice of where each searching checker goes."""
+        if not pairs:
+            return [((), (), False, False)]
+        opts = [_DONE if c == "d" or trackers[i] != trackers[j] else _SPLIT
+                for (i, j), c in zip(pairs, checkers)]
+        out = []
+        for assign in itertools.product(*opts):
+            lch, rch = zip(*assign)
+            out.append((lch, rch, "s" in lch, "s" in rch))
+        return out
 
     initials = set()
     for trackers in itertools.product(sorted(a.initials, key=str), repeat=k):
         checkers = ("s",) * len(pairs)
-        ds = dpw.delta[(dpw.init, letter(colors(trackers), checkers))]
-        initials.add((trackers, checkers, ds))
-
-    ids = {st: i for i, st in enumerate(sorted(initials, key=str))}
-    delta = set()
-    kids = {}
-    for st in bfs(list(ids), kids.pop):
-        i = ids[st]
-        out = kids[st] = []
-        trackers, checkers, ds = st
+        letter = tuple(a.color[q] for q in trackers) + (1 if pairs else 0,)
+        initials.add((trackers, checkers, dpw.delta[(dpw.init, letter)]))
+    ids = {(t, c, dpw_id(ds)): i
+           for i, (t, c, ds) in enumerate(sorted(initials, key=str))}
+    children = {}
+    fresh = {}
+    steps = []
+    for key in bfs(list(ids), fresh.pop):
+        found = fresh[key] = []
+        trackers, checkers, d = key
+        row = dpw_row(d)
+        assigns = assignments(trackers, checkers)
+        out = []
         for x in a.alphabet:
-            moves = [a.moves(q, x) for q in trackers]
-            if not all(moves):
+            combos = children.get((trackers, x))
+            if combos is None:
+                combos = children[(trackers, x)] = tracker_children(trackers,
+                                                                    x)
+            if not combos:
                 continue
-            copts = checker_options(trackers, checkers)
-            for combo in itertools.product(*moves):
-                ltr = tuple(m[0] for m in combo)
-                rtr = tuple(m[1] for m in combo)
-                lcol, rcol = colors(ltr), colors(rtr)
-                for assign in itertools.product(*copts):
-                    lch = tuple(s for s, _ in assign)
-                    rch = tuple(s for _, s in assign)
-                    lst = (ltr, lch, dpw.delta[(ds, letter(lcol, lch))])
-                    rst = (rtr, rch, dpw.delta[(ds, letter(rcol, rch))])
-                    delta.add((i, x, ids.setdefault(lst, len(ids)),
-                               ids.setdefault(rst, len(ids))))
-                    out += (lst, rst)
-    names = list(ids)
-    color = {i: dpw.color[st[2]] for i, st in enumerate(names)}
+            kids = []
+            for ltr, rtr, lcodes, rcodes in combos:
+                for lch, rch, lsearch, rsearch in assigns:
+                    lkey = (ltr, lch, row[lcodes[lsearch]])
+                    rkey = (rtr, rch, row[rcodes[rsearch]])
+                    l = ids.get(lkey)
+                    if l is None:
+                        l = ids[lkey] = len(ids)
+                        found.append(lkey)
+                    r = ids.get(rkey)
+                    if r is None:
+                        r = ids[rkey] = len(ids)
+                        found.append(rkey)
+                    kids.append((l, r))
+            out.append((x, kids))
+        steps.append(out)
+    names = [(t, c, dstates[d]) for t, c, d in ids]
+    color = [dpw.color[ds] for _, _, ds in names]
+    return names, color, len(initials), steps
+
+
+def _k_distinct(a, k):
+    """The k-distinct-runs automaton on dense int states, and their names.
+
+    The states, their numbering and the transitions are those of
+    _k_distinct_walk: names[i] = (trackers, checkers, DPW state) is state
+    i, so the int automaton hashes and prints its states cheaply.
+    """
+    names, color, ninit, steps = _k_distinct_walk(a, k)
+    delta = frozenset((i, x, l, r) for i, out in enumerate(steps)
+                      for x, kids in out for l, r in kids)
     b = ParityTreeAutomaton(f"{k}-distinct[{a.name}]", a.alphabet,
                             frozenset(range(len(names))),
-                            frozenset(range(len(initials))), frozenset(delta),
-                            color)
+                            frozenset(range(ninit)), delta,
+                            dict(enumerate(color)))
     return b.check(), names
 
 
 def k_distinct_runs_automaton(a, k):
     """Automaton for "a has at least k pairwise distinct accepting runs",
     on the structural product states (trackers, checkers, DPW state); see
-    _k_distinct for the construction."""
+    _k_distinct_walk for the construction."""
     b, names = _k_distinct(a, k)
     return ParityTreeAutomaton(
         b.name, b.alphabet, frozenset(names),
@@ -198,12 +288,26 @@ def k_distinct_runs_automaton(a, k):
         {names[i]: c for i, c in b.color.items()}).check()
 
 
+def _k_distinct_arena(a, k):
+    """The verdict-only emptiness game of the k-distinct product, built from
+    its walk with no automaton in between, and the number of initial
+    states (ids 0..ninit-1)."""
+    _, color, ninit, steps = _k_distinct_walk(a, k)
+    moves = [{p for _, kids in out for p in kids} for out in steps]
+    return _emptiness_arena(color, moves), ninit
+
+
 def is_k_ambiguous(a, k):
-    """True iff no tree at all has more than k distinct accepting runs."""
+    """True iff no tree at all has more than k distinct accepting runs.
+
+    That is, the (k+1)-distinct product accepts nothing: Automaton wins
+    no initial state of its emptiness game, which is solved on the one
+    int arena of _k_distinct_arena.
+    """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    b = _k_distinct(a, k + 1)[0]
-    return not nonempty_states(b) & b.initials
+    arena, ninit = _k_distinct_arena(a, k + 1)
+    return automaton_wins(*arena).isdisjoint(range(ninit))
 
 
 # ------------------------------------------------------- counting core

@@ -325,3 +325,7 @@ def run(argv):
 
 def main():
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

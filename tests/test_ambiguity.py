@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from treeamb.ambiguity import (INFINITE, UNCOUNTABLE, AmbiguityVerdict,
                                _emptiness_game, _emptiness_ids, _k_distinct,
-                               at_least_k, classify, emptiness,
+                               _k_distinct_arena, at_least_k, classify,
+                               emptiness,
                                find_regeneration_witness,
                                k_distinct_runs_automaton, is_k_ambiguous,
                                nonempty_states, witness_is_valid)
@@ -18,8 +19,8 @@ from treeamb.errors import NotMember
 from treeamb.formats import serialize_pta
 from treeamb.games import AUTOMATON, PATHFINDER, ParityGameArena, solve
 from treeamb.membership import member, run_is_accepting
-from treeamb.trees import (build_tree, constant_tree, graft_antichain,
-                           graft_node, lstar_r_antichain, tree_equal)
+from treeamb.trees import (constant_tree, graft_antichain, graft_node,
+                           lstar_r_antichain, tree_equal)
 from treeamb import zoo
 
 from test_membership import random_pta, random_tree
@@ -165,12 +166,25 @@ def test_exists_is_ambiguous():
     assert not is_k_ambiguous(zoo.zoo_exists_a1(), 1)
 
 
+def high_colors():
+    """Colors up to 3; p has no move on a1, and s has no move at all."""
+    return ParityTreeAutomaton(
+        "high", ALPHA, frozenset("pqrs"), frozenset("pq"),
+        frozenset([("p", "c", "q", "p"), ("p", "c", "p", "p"),
+                   ("q", "c", "q", "q"), ("q", "a1", "r", "q"),
+                   ("r", "c", "r", "p"), ("r", "a1", "q", "s")]),
+        {"p": 2, "q": 2, "r": 3, "s": 0}).check()
+
+
 def _k_amb_cases():
     rng = random.Random(23)
     cases = [random_pta(rng, ALPHA, rng.randint(1, 3), rng.randint(1, 5),
                         rng.randint(0, 2)) for _ in range(12)]
-    return cases + [zoo.zoo_neg_union(2), zoo.zoo_neg_union(3), zoo.zoo_lfa(),
-                    zoo.zoo_exists_a1()]
+    # multi-initial: each argument keeps its own initial state
+    cases.append(union(random_pta(rng, ALPHA, 2, 2, 1),
+                       random_pta(rng, ALPHA, 2, 3, 2)))
+    return cases + [high_colors(), zoo.zoo_neg_union(2), zoo.zoo_neg_union(3),
+                    zoo.zoo_lfa(), zoo.zoo_exists_a1()]
 
 
 def test_is_k_ambiguous_agrees_with_structural_product():
@@ -193,6 +207,27 @@ def test_int_product_relabels_to_structural_product():
                           for p, x, l, r in b.delta),
                 {names[i]: c for i, c in b.color.items()})
             assert relabelled == k_distinct_runs_automaton(a, k)
+
+
+def test_k_distinct_game_has_one_pathfinder_vertex_per_child_pair():
+    for a in _k_amb_cases():
+        for k in (1, 2, 3):
+            (succ, owner, color, sinks), ninit = _k_distinct_arena(a, k)
+            b = _k_distinct(a, k)[0]
+            n = len(b.states)
+            assert ninit == len(b.initials)
+            assert owner[:n] == bytearray(n) and set(owner[n:]) <= {1}
+            assert color == [b.color[i] for i in range(n)] + [0] * (
+                len(succ) - n)
+            pairs = [succ[v] for v in range(n, len(succ))]
+            assert len(pairs) == len(set(pairs))
+            assert set(pairs) == {(l, r) for _, _, l, r in b.delta}
+            moves = {i: set() for i in range(n)}
+            for i, _, l, r in b.delta:
+                moves[i].add((l, r))
+            assert [{succ[v] for v in succ[i]} for i in range(n)] == [
+                moves[i] for i in range(n)]
+            assert sinks == [i for i in range(n) if not moves[i]]
 
 
 # sha256 of serialize_pta(k_distinct_runs_automaton(zoo_neg_union(n), k)):

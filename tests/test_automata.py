@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from treeamb.automata import (DetParityWordAutomaton, FiniteTreeAutomaton,
-                              ParityTreeAutomaton, color_identity_dpw,
-                              conjunction_dpw, conjunction_dpw_tuple,
+from treeamb.automata import (FiniteTreeAutomaton, ParityTreeAutomaton,
+                              color_identity_dpw, conjunction_dpw,
+                              conjunction_dpw_tuple,
                               det_pta_for_tree, fta_accepts,
                               fta_count_accepting_runs, fta_enumerate_accepted,
                               fta_is_unambiguous, intersect, moore_reduction,

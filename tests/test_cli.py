@@ -273,10 +273,11 @@ def test_leads_binding_errors_name_the_file(capsys, automaton, straj, bad):
     assert err.startswith(f"{data(bad)}:0: "), err
 
 
-def test_python_dash_m_treeamb_runs_the_cli():
+@pytest.mark.parametrize("module", ["treeamb", "treeamb.cli"])
+def test_python_dash_m_treeamb_runs_the_cli(module):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     done = subprocess.run(
-        [sys.executable, "-m", "treeamb", "validate", data("free2.pta")],
+        [sys.executable, "-m", module, "validate", data("free2.pta")],
         capture_output=True, text=True, env=env, timeout=60)
     assert (done.returncode, done.stdout) == (0, "ok\n"), done.stderr

@@ -7,10 +7,9 @@ import random
 import pytest
 
 from treeamb import cli
-from treeamb.automata import ParityTreeAutomaton, det_pta_for_tree, union
-from treeamb.errors import (AlphabetMismatch, IncompleteStrategy,
-                            InconsistentRun, IsMember, NotMember,
-                            PreconditionViolated, StateMismatch)
+from treeamb.automata import ParityTreeAutomaton, det_pta_for_tree
+from treeamb.errors import (AlphabetMismatch, InconsistentRun, IsMember,
+                            NotMember, PreconditionViolated, StateMismatch)
 from treeamb.games import (AUTOMATON, PATHFINDER, ParityGameArena, solve,
                            verify_strategy)
 from treeamb.membership import (RegularRun, _product_arena, _product_ids,

@@ -3,8 +3,7 @@
 import pytest
 
 from treeamb.automata import det_pta_for_tree, fta_is_unambiguous
-from treeamb.errors import (AlphabetMismatch, AmbiguousRepresentation,
-                            AntichainViolation)
+from treeamb.errors import AlphabetMismatch, AmbiguousRepresentation
 from treeamb.membership import member
 from treeamb.trees import (build_tree, constant_tree, graft_antichain,
                            graft_node, lstar_r_antichain, make_node,
