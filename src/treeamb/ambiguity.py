@@ -56,7 +56,7 @@ def _emptiness_ids(a):
     in str order, then each state's transitions in str order, which is
     also the order of the state's moves.  A state with no transitions at
     all is a losing sink for Automaton.  Returns (succ, owner, color,
-    sinks, names) in the form of games.automaton_wins.
+    sinks, names) in the form of ParityGameArena.relabelled.
     """
     bystate = {}
     for tr in a.delta:
@@ -106,21 +106,37 @@ def emptiness(a):
 def _emptiness_arena(color, moves):
     """The verdict-only emptiness game of an automaton on states 0..n-1.
 
-    color[i] is state i's color and moves[i] the distinct (left, right)
-    pairs of state i's transitions; letters play no part in emptiness.
-    State i is Automaton's vertex i; each distinct pair, over all states,
-    is one Pathfinder vertex of color 0 after the states, with the two
-    children as its moves.  A state without moves is a losing sink.
-    Returns (succ, owner, color, sinks) for games.automaton_wins.
+    color[i] is state i's color and moves[i] the (left, right) pairs of
+    state i's transitions, repeats allowed; letters play no part in
+    emptiness.  State i is Automaton's vertex i; each distinct pair, over
+    all states, is one Pathfinder vertex of color 0 after the states,
+    with the two children as its moves.  A state without moves is a
+    losing sink.
+    Returns (succ, pred, owner, color, sinks) for games.automaton_wins.
     """
     n = len(moves)
     pair_ids = {}
-    succ = [tuple(n + pair_ids.setdefault(p, len(pair_ids)) for p in ps)
-            for ps in moves]
+    succ, pred = [], [[] for _ in range(n)]
+    for i, ps in enumerate(moves):
+        ws = []
+        for p in ps:
+            j = pair_ids.get(p)
+            if j is None:
+                j = pair_ids[p] = n + len(pair_ids)
+                pred.append([i])
+            elif pred[j][-1] == i:      # a pair state i has already
+                continue
+            else:
+                pred[j].append(i)
+            ws.append(j)
+        succ.append(tuple(ws))
     sinks = [i for i, ws in enumerate(succ) if not ws]
+    for j, (l, r) in enumerate(pair_ids, n):   # every state precedes j
+        pred[l].append(j)
+        pred[r].append(j)
     succ += pair_ids
     owner = bytearray(n) + b"\x01" * len(pair_ids)
-    return succ, owner, list(color) + [0] * len(pair_ids), sinks
+    return succ, pred, owner, list(color) + [0] * len(pair_ids), sinks
 
 
 def nonempty_states(a):
@@ -293,7 +309,8 @@ def _k_distinct_arena(a, k):
     its walk with no automaton in between, and the number of initial
     states (ids 0..ninit-1)."""
     _, color, ninit, steps = _k_distinct_walk(a, k)
-    moves = [{p for _, kids in out for p in kids} for out in steps]
+    moves = [[p for _, kids in out for p in kids] for out in steps]
+    del steps       # freed before the arena's lists are allocated
     return _emptiness_arena(color, moves), ninit
 
 

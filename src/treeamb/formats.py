@@ -43,9 +43,9 @@ class _Reader:
 
     def __init__(self, text, filename):
         self.filename = filename
-        self.rows = [(i, line.split(), line)
+        self.rows = [(i, fields, line)
                      for i, line in enumerate(text.splitlines(), 1)
-                     if line.strip()]
+                     if (fields := line.split())]
 
     def fail(self, lineno, message):
         raise ParseError(self.filename, lineno, message)
@@ -66,10 +66,11 @@ class _Reader:
         any other directive is rejected."""
         groups = {k: [] for k in allowed}
         for lineno, fields, _ in self.rows:
-            if fields[0] not in groups:
+            group = groups.get(fields[0])
+            if group is None:
                 self.fail(lineno, f"expected one of {sorted(allowed)}, "
                                   f"got {fields[0]!r}")
-            groups[fields[0]].append((lineno, fields))
+            group.append((lineno, fields))
         return groups
 
     def single(self, groups, key, what):
@@ -118,18 +119,21 @@ class _Reader:
         for lineno, fields in rows:
             if len(fields) != 4:
                 self.fail(lineno, "expected `edge <src> <letter> <dst>`")
-            src, x, dst = fields[1:]
+            _, src, x, dst = fields
             if x not in letters:
                 self.fail(lineno, f"letter {x!r} is not in {letters}")
-            self.known(lineno, (src, dst), declared)
-            if (src, x) in nxt:
+            if src not in declared or dst not in declared:
+                self.known(lineno, (src, dst), declared)
+            key = (src, x)
+            if key in nxt:
                 self.fail(lineno, f"state {src} has two {x}-edges")
-            nxt[(src, x)] = dst
-        for s in declared if total else ():
-            for x in letters:
-                if (s, x) not in nxt:
-                    raise ParseError(self.filename, 0,
-                                     f"state {s} lacks a {x}-edge")
+            nxt[key] = dst
+        # the keys are distinct (declared state, letter) pairs, so a total
+        # machine has one per pair
+        if total and len(nxt) != len(declared) * len(set(letters)):
+            s, x = next((s, x) for s in declared for x in letters
+                        if (s, x) not in nxt)
+            raise ParseError(self.filename, 0, f"state {s} lacks a {x}-edge")
         return nxt
 
     def transitions(self, rows, declared, letters):
@@ -139,8 +143,9 @@ class _Reader:
         for lineno, fields in rows:
             if len(fields) != 5:
                 self.fail(lineno, "expected `trans <q> <sym> <ql> <qr>`")
-            q, sym, ql, qr = fields[1:]
-            self.known(lineno, (q, ql, qr), declared)
+            _, q, sym, ql, qr = fields
+            if q not in declared or ql not in declared or qr not in declared:
+                self.known(lineno, (q, ql, qr), declared)
             if sym not in letters:
                 self.fail(lineno, f"letter {sym!r} is not in {letters}")
             if (q, sym, ql, qr) in delta:

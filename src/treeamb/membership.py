@@ -29,47 +29,118 @@ from .trees import (RegularTree, build_tree, check_path, graft_node,
 
 
 def _product_ids(a, t, given=None):
-    """The membership product on dense int ids, and the name of each id.
+    """The membership product on dense int ids, and the names of the ids.
 
-    Vertex names[i] is numbered i when the breadth-first walk from the
-    initial vertices first discovers it, the initial Automaton vertices
-    (t.init, q) first, q in str order.  Returns (succ, owner, color,
-    sinks, names) in the form of games.automaton_wins: (m, q) is owned by
-    Automaton (0) with color C(q), and (m, ql, qr) by Pathfinder (1) with
-    color 0; an Automaton vertex with no transition on the node's label is
-    a losing sink.  A tree with a letter outside a's alphabet raises
-    AlphabetMismatch naming given, the automaton as the caller was given it
-    (a by default).
+    Vertex i is numbered i when the breadth-first walk from the initial
+    vertices first discovers it, the initial Automaton vertices (t.init, q)
+    first, q in str order.  Returns ((succ, pred, owner, color, sinks),
+    names) with the int arena in the form of games.automaton_wins: (m, q)
+    is owned by Automaton (0) with color C(q), and (m, ql, qr) by
+    Pathfinder (1) with color 0; an Automaton vertex with no transition on
+    the node's label is a losing sink.  names() decodes the list of vertex
+    names.  A tree with a letter outside a's alphabet raises
+    AlphabetMismatch naming given, the automaton as the caller was given
+    it (a by default).
+
+    The walk hashes no names.  Tree states m and automaton states q (in
+    str order) are numbered once; (m, q) is coded m*|Q| + q and looked up
+    in a dense list, (m, ql, qr) is coded (m*|Q| + ql)*|Q| + qr and looked
+    up in a dict.  Each (q, letter)'s moves are fetched once, as the codes
+    ql*|Q| + qr.  The walk visits ids in increasing order and appends each
+    edge's tail to its head's predecessor list as it goes.
     """
     if not set(t.alphabet) <= set(a.alphabet):
         raise AlphabetMismatch(f"{t.name} is over {t.alphabet}, outside "
                                f"{(given or a).name}'s alphabet")
-    names = [(t.init, q) for q in sorted(a.initials, key=str)]
-    ids = {v: i for i, v in enumerate(names)}
-    succ, owner, color, sinks = [], bytearray(), [], []
-    out, nxt, moves, col = t.out, t.next, a.moves, a.color
-    for v in names:     # names grows while it is walked
-        if len(v) == 2:
-            m, q = v
-            owner.append(0)
-            color.append(col[q])
-            kids = [(m, ql, qr) for ql, qr in moves(q, out[m])]
-            if not kids:
-                sinks.append(len(succ))
-        else:
-            m, ql, qr = v
-            owner.append(1)
-            color.append(0)
-            kids = ((nxt[(m, "l")], ql), (nxt[(m, "r")], qr))
+    states = sorted(a.states, key=str)
+    nq = len(states)
+    nqq = nq * nq
+    qid = dict(zip(states, range(nq)))
+    qcolor = [a.color[q] for q in states]
+    tstates = list(t.out)
+    mid = dict(zip(tstates, range(len(tstates))))
+    nxt = t.next
+    left = [mid[nxt[(m, "l")]] * nq for m in tstates]
+    right = [mid[nxt[(m, "r")]] * nq for m in tstates]
+    labels = [t.out[m] for m in tstates]
+    # rows[m][q]: q's move codes on m's letter, fetched on first use; tree
+    # states with the same letter share one row
+    by_letter = {x: [None] * nq for x in set(labels)}
+    rows = [by_letter[x] for x in labels]
+    moves = a.moves
+    avert = [None] * (len(tstates) * nq)    # Automaton vertex ids by code
+    pvert = {}                              # Pathfinder vertex ids by code
+    codes = []
+    succ, pred, owner, color, sinks = [], [], bytearray(), [], []
+    m0 = mid[t.init] * nq
+    for q in sorted(a.initials, key=str):
+        c = m0 + qid[q]
+        avert[c] = len(codes)
+        codes.append(c)
+        owner.append(0)
+        color.append(a.color[q])
+        pred.append([])
+    for v, c in enumerate(codes):   # codes grows while it is walked
+        if owner[v]:
+            m, pair = divmod(c, nqq)
+            ql, qr = divmod(pair, nq)
+            w = left[m] + ql
+            jl = avert[w]
+            if jl is None:
+                jl = avert[w] = len(codes)
+                codes.append(w)
+                owner.append(0)
+                color.append(qcolor[ql])
+                pred.append([v])
+            else:
+                pred[jl].append(v)
+            w = right[m] + qr
+            jr = avert[w]
+            if jr is None:
+                jr = avert[w] = len(codes)
+                codes.append(w)
+                owner.append(0)
+                color.append(qcolor[qr])
+                pred.append([v])
+            else:
+                pred[jr].append(v)
+            succ.append((jl, jr))
+            continue
+        m, q = divmod(c, nq)
+        row = rows[m]
+        pairs = row[q]
+        if pairs is None:
+            pairs = row[q] = [qid[ql] * nq + qid[qr]
+                              for ql, qr in moves(states[q], labels[m])]
+        if not pairs:
+            sinks.append(v)
         ws = []
-        for w in kids:
-            j = ids.get(w)
+        base = m * nqq
+        for w in pairs:
+            w += base
+            j = pvert.get(w)
             if j is None:
-                j = ids[w] = len(names)
-                names.append(w)
+                j = pvert[w] = len(codes)
+                codes.append(w)
+                owner.append(1)
+                color.append(0)
+                pred.append([v])
+            else:
+                pred[j].append(v)
             ws.append(j)
         succ.append(tuple(ws))
-    return succ, owner, color, sinks, names
+
+    def names():
+        out = []
+        for c, o in zip(codes, owner):
+            if o:
+                m, pair = divmod(c, nqq)
+                out.append((tstates[m], states[pair // nq], states[pair % nq]))
+            else:
+                out.append((tstates[c // nq], states[c % nq]))
+        return out
+
+    return (succ, pred, owner, color, sinks), names
 
 
 def _product_arena(a, t, name, given=None):
@@ -78,10 +149,12 @@ def _product_arena(a, t, name, given=None):
     the arena and the list of initial Automaton vertices (one per initial
     state of a).
     """
-    *int_arena, names = _product_ids(a, t, given)
+    (succ, _, owner, color, sinks), names = _product_ids(a, t, given)
+    names = names()
     inits = names[:len(a.initials)]
     init = inits[0] if len(inits) == 1 else None
-    return ParityGameArena.relabelled(name, *int_arena, names, init), inits
+    return (ParityGameArena.relabelled(name, succ, owner, color, sinks,
+                                       names, init), inits)
 
 
 @dataclass
@@ -108,8 +181,8 @@ def member(a, t):
     """Is t in the language of a?  Decided on the int product explored from
     every initial state: t is accepted iff Automaton wins from one of
     them."""
-    succ, owner, color, sinks, _ = _product_ids(a, t)
-    won = automaton_wins(succ, owner, color, sinks)
+    arena, _ = _product_ids(a, t)
+    won = automaton_wins(*arena)
     return any(i in won for i in range(len(a.initials)))
 
 

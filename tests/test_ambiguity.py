@@ -17,13 +17,14 @@ from treeamb.automata import (ParityTreeAutomaton, det_pta_for_tree,
                               intersect, trim_useful, union)
 from treeamb.errors import NotMember
 from treeamb.formats import serialize_pta
-from treeamb.games import AUTOMATON, PATHFINDER, ParityGameArena, solve
+from treeamb.games import (AUTOMATON, PATHFINDER, ParityGameArena,
+                           automaton_wins, solve)
 from treeamb.membership import member, run_is_accepting
 from treeamb.trees import (constant_tree, graft_antichain, graft_node,
                            lstar_r_antichain, tree_equal)
-from treeamb import zoo
+from treeamb import ambiguity, zoo
 
-from test_membership import random_pta, random_tree
+from test_membership import predecessors, random_pta, random_tree
 
 ALPHA = ("c", "a1")
 T_C = constant_tree("c", ALPHA)
@@ -212,7 +213,8 @@ def test_int_product_relabels_to_structural_product():
 def test_k_distinct_game_has_one_pathfinder_vertex_per_child_pair():
     for a in _k_amb_cases():
         for k in (1, 2, 3):
-            (succ, owner, color, sinks), ninit = _k_distinct_arena(a, k)
+            (succ, pred, owner, color, sinks), ninit = _k_distinct_arena(a, k)
+            assert pred == predecessors(succ)
             b = _k_distinct(a, k)[0]
             n = len(b.states)
             assert ninit == len(b.initials)
@@ -248,13 +250,12 @@ def test_k_distinct_serialization_is_pinned(n, k):
 
 
 def test_free_choice_is_very_ambiguous():
-    # deciding on the 4-distinct product of the free automaton is too slow
-    # for Tier-1 (is_k_ambiguous(free2, 3) took 42.8 s and 971 MB peak RSS
-    # on a 2-core box with Python 3.11.7), so the "not 3-ambiguous" claim
-    # is checked through its classifier verdict instead, together with
-    # the feasible 1-ambiguity refutation
+    # the 4-distinct product of the free automaton is the largest game in
+    # this file: is_k_ambiguous(free2, 3) takes about 3 s and 196 MB peak
+    # RSS on a 2-core box with Python 3.11.7
     free2 = zoo.zoo_free2()
     assert not is_k_ambiguous(free2, 1)
+    assert not is_k_ambiguous(free2, 3)
     v = classify(free2, constant_tree("c", ("c",)), 3)
     assert v.kind == UNCOUNTABLE
 
@@ -494,6 +495,23 @@ def test_int_emptiness_game_relabels_to_the_structural_arena():
         assert arena.check() is arena
         assert [arena.edges[v] for v in names] == [
             tuple(names[j] for j in ws) for ws in succ]
+
+
+def test_verdict_arenas_list_predecessors_in_id_order(monkeypatch):
+    solved = []
+
+    def checked(succ, pred, owner, color, sinks):
+        assert pred == predecessors(succ)
+        solved.append(bool(sinks))
+        return automaton_wins(succ, pred, owner, color, sinks)
+
+    monkeypatch.setattr(ambiguity, "automaton_wins", checked)
+    cases = _emptiness_cases() + _k_amb_cases()
+    for a in cases:
+        nonempty_states(a)          # its arena from a's transitions
+        is_k_ambiguous(a, 1)        # the arena of _k_distinct_arena
+    assert len(solved) == 2 * len(cases) and set(solved) == {True, False}
+    assert any(len(a.initials) > 1 for a in cases)
 
 
 def test_nonempty_states_and_is_k_ambiguous_agree_with_solve():

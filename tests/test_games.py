@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from test_membership import random_pta, random_tree
+from test_membership import predecessors, random_pta, random_tree
 from treeamb.ambiguity import _RunCounts
 from treeamb.errors import IncompleteStrategy, MalformedArena
 from treeamb.games import (AUTOMATON, PATHFINDER, ParityGameArena,
@@ -265,7 +265,7 @@ def int_form(g, order):
     ids = {v: i for i, v in enumerate(order)}
     succ = [tuple(ids[w] for w in g.edges[v]) for v in order]
     owner = bytearray(g.owner[v] == PATHFINDER for v in order)
-    return (succ, owner, [g.color[v] for v in order],
+    return (succ, predecessors(succ), owner, [g.color[v] for v in order],
             [ids[v] for v in order if v in g.sinks])
 
 
@@ -275,23 +275,31 @@ def test_automaton_wins_matches_solve_in_any_numbering():
         g = random_arena(rng, rng.randint(1, 9))
         order = sorted(g.owner)
         rng.shuffle(order)
-        succ, owner, color, sinks = int_form(g, order)
-        won = automaton_wins(succ, owner, color, sinks)
+        arena = int_form(g, order)
+        won = automaton_wins(*arena)
         assert {order[i] for i in won} == solve(g).region[AUTOMATON]
-        assert int_form(g, order) == (succ, owner, color, sinks)  # untouched
+        assert int_form(g, order) == arena      # untouched
 
 
 def test_malformed_int_arenas_rejected():
-    ok = ([(1,), ()], bytearray([0, 1]), [2, 1], [1])
+    ok = ([(1,), ()], [[], [0]], bytearray([0, 1]), [2, 1], [1])
     assert automaton_wins(*ok) == {0, 1}     # Pathfinder's sink 1 loses
-    for succ, owner, color, sinks in [
-            ([()], bytearray([0]), [0], []),          # no move, not a sink
-            ([(0,)], bytearray([0]), [0], [0]),       # sink with a move
-            ([(0,)], bytearray([0]), [0], [1]),       # undeclared sink
-            ([(1,)], bytearray([0]), [0], []),        # dangling edge
-            ([(-1,)], bytearray([0]), [0], []),       # dangling edge
-            ([(0,)], bytearray([2]), [0], []),        # no such owner
-            ([(0,)], bytearray([0]), [-1], []),       # negative color
-            ([(0,)], bytearray([0, 1]), [0], [])]:    # owner for no vertex
+    assert automaton_wins(*ok[:4], [1, 1]) == {0, 1}    # a sink listed twice
+    loop = [[0]]
+    for succ, pred, owner, color, sinks in [
+            ([()], [[]], bytearray([0]), [0], []),    # no move, not a sink
+            ([(0,)], loop, bytearray([0]), [0], [0]),     # sink with a move
+            ([(0,)], loop, bytearray([0]), [0], [1]),     # undeclared sink
+            ([(1,)], [[]], bytearray([0]), [0], []),      # dangling edge
+            ([(-1,)], [[]], bytearray([0]), [0], []),     # dangling edge
+            ([(0,)], loop, bytearray([2]), [0], []),      # no such owner
+            ([(0,)], loop, bytearray([0]), [-1], []),     # negative color
+            ([(0,)], loop, bytearray([0, 1]), [0], []),   # owner for no vertex
+            ([(0,)], [], bytearray([0]), [0], []),        # no pred list
+            ([(0,)], [[0], []], bytearray([0]), [0], []),     # pred for none
+            ([(1,), (0,)], [[], [0]], bytearray(2), [0, 0], []),  # missing
+            ([(0,)], [[0, 0]], bytearray([0]), [0], []),  # extra predecessor
+            ([(0,)], [[1]], bytearray([0]), [0], []),     # out of range
+            ([(0,)], [[-1]], bytearray([0]), [0], [])]:   # out of range
         with pytest.raises(MalformedArena):
-            automaton_wins(succ, owner, color, sinks)
+            automaton_wins(succ, pred, owner, color, sinks)

@@ -32,6 +32,16 @@ def random_tree(rng, alphabet, size):
                       name=f"rnd{size}")
 
 
+def predecessors(succ):
+    """The predecessor lists of an int arena, rebuilt from succ by visiting
+    ids in increasing order: what its builder must return."""
+    pred = [[] for _ in succ]
+    for v, ws in enumerate(succ):
+        for w in ws:
+            pred[w].append(v)
+    return pred
+
+
 def random_pta(rng, alphabet, nstates, ntrans, maxcolor):
     states = [f"q{i}" for i in range(nstates)]
     delta = set()
@@ -389,9 +399,15 @@ def test_member_agrees_with_solving_the_structural_game():
 
 
 def test_int_product_relabels_to_the_structural_arena():
-    for a, t in multi_initial_cases(7, 40) + [(zoo_neg_union(2), T_C),
-                                             (NOT_A1, T_A1)]:
-        succ, owner, color, sinks, names = _product_ids(a, t)
+    cases = multi_initial_cases(7, 40) + [(zoo_neg_union(2), T_C),
+                                          (NOT_A1, T_A1)]
+    assert sum(len(a.initials) > 1 for a, _ in cases) >= 10
+    with_sinks = 0
+    for a, t in cases:
+        (succ, pred, owner, color, sinks), names = _product_ids(a, t)
+        names = names()
+        assert pred == predecessors(succ)       # listed in id order
+        with_sinks += bool(sinks)
         assert len(succ) == len(owner) == len(color) == len(names)
         assert len(set(names)) == len(names)
         arena, inits = _product_arena(a, t, "G")
@@ -401,6 +417,43 @@ def test_int_product_relabels_to_the_structural_arena():
         assert [arena.edges[v] for v in names] == [
             tuple(names[j] for j in ws) for ws in succ]
         assert arena.sinks == frozenset(names[i] for i in sinks)
+    assert with_sinks >= 10
+
+
+def mixed_names_pta(rng):
+    """A random automaton whose states are ints, tuples and strs, where 1
+    and "1", and (0, 1) and "(0, 1)", print alike.  On each letter the left
+    children share one kind and so do the right ones, so transitions on
+    a letter compare, as sorting moves needs."""
+    kinds = ([1, 2], ["1", "(0, 1)", "x"], [(0, 1), (1, 0)])
+    states = [q for kind in kinds for q in kind]
+    delta = set()
+    for x in ALPHA:
+        lefts, rights = rng.choice(kinds), rng.choice(kinds)
+        for q in rng.sample(states, rng.randint(1, len(states))):
+            for _ in range(rng.randint(1, 3)):
+                delta.add((q, x, rng.choice(lefts), rng.choice(rights)))
+    inits = frozenset(rng.sample(states, rng.randint(1, 3)))
+    return ParityTreeAutomaton(
+        "mixed", ALPHA, frozenset(states), inits, frozenset(delta),
+        {q: rng.randrange(4) for q in states}).check()
+
+
+def test_member_keeps_states_apart_that_print_alike():
+    rng = random.Random(9)
+    verdicts = []
+    for _ in range(60):
+        a, t = mixed_names_pta(rng), random_tree(rng, ALPHA, rng.randint(1, 6))
+        g = build_game(a, t)
+        expected = solve(g.arena).winner_of(g.arena.init) == AUTOMATON
+        assert member(a, t) == expected, (a, t)
+        # the int build hides no state behind another's printed name
+        arena, inits = structural_product(a, t, "G")
+        assert _product_arena(a, t, "G") == (arena, inits)
+        won = solve(arena).region[AUTOMATON]
+        assert any(v in won for v in inits) == expected
+        verdicts.append(expected)
+    assert True in verdicts and False in verdicts
 
 
 def test_alphabet_mismatch_names_the_given_automaton():
