@@ -110,33 +110,19 @@ def _emptiness_arena(color, moves):
     state i's transitions, repeats allowed; letters play no part in
     emptiness.  State i is Automaton's vertex i; each distinct pair, over
     all states, is one Pathfinder vertex of color 0 after the states,
-    with the two children as its moves.  A state without moves is a
-    losing sink.
-    Returns (succ, pred, owner, color, sinks) for games.automaton_wins.
+    with the two children as its moves, and state i has one move per
+    distinct pair of its own.  A state without moves is a losing sink.
+    Returns (succ, owner, color, sinks) for games.automaton_wins.
     """
     n = len(moves)
     pair_ids = {}
-    succ, pred = [], [[] for _ in range(n)]
-    for i, ps in enumerate(moves):
-        ws = []
-        for p in ps:
-            j = pair_ids.get(p)
-            if j is None:
-                j = pair_ids[p] = n + len(pair_ids)
-                pred.append([i])
-            elif pred[j][-1] == i:      # a pair state i has already
-                continue
-            else:
-                pred[j].append(i)
-            ws.append(j)
-        succ.append(tuple(ws))
+    succ = [tuple(dict.fromkeys([n + pair_ids.setdefault(p, len(pair_ids))
+                                 for p in ps]))
+            for ps in moves]
     sinks = [i for i, ws in enumerate(succ) if not ws]
-    for j, (l, r) in enumerate(pair_ids, n):   # every state precedes j
-        pred[l].append(j)
-        pred[r].append(j)
     succ += pair_ids
     owner = bytearray(n) + b"\x01" * len(pair_ids)
-    return succ, pred, owner, list(color) + [0] * len(pair_ids), sinks
+    return succ, owner, list(color) + [0] * len(pair_ids), sinks
 
 
 def nonempty_states(a):
@@ -275,33 +261,18 @@ def _k_distinct_walk(a, k):
     return names, color, len(initials), steps
 
 
-def _k_distinct(a, k):
-    """The k-distinct-runs automaton on dense int states, and their names.
-
-    The states, their numbering and the transitions are those of
-    _k_distinct_walk: names[i] = (trackers, checkers, DPW state) is state
-    i, so the int automaton hashes and prints its states cheaply.
-    """
-    names, color, ninit, steps = _k_distinct_walk(a, k)
-    delta = frozenset((i, x, l, r) for i, out in enumerate(steps)
-                      for x, kids in out for l, r in kids)
-    b = ParityTreeAutomaton(f"{k}-distinct[{a.name}]", a.alphabet,
-                            frozenset(range(len(names))),
-                            frozenset(range(ninit)), delta,
-                            dict(enumerate(color)))
-    return b.check(), names
-
-
 def k_distinct_runs_automaton(a, k):
     """Automaton for "a has at least k pairwise distinct accepting runs",
     on the structural product states (trackers, checkers, DPW state); see
     _k_distinct_walk for the construction."""
-    b, names = _k_distinct(a, k)
+    names, color, ninit, steps = _k_distinct_walk(a, k)
     return ParityTreeAutomaton(
-        b.name, b.alphabet, frozenset(names),
-        frozenset(names[i] for i in b.initials),
-        frozenset((names[p], x, names[l], names[r]) for p, x, l, r in b.delta),
-        {names[i]: c for i, c in b.color.items()}).check()
+        f"{k}-distinct[{a.name}]", a.alphabet, frozenset(names),
+        frozenset(names[:ninit]),
+        frozenset((names[i], x, names[l], names[r])
+                  for i, out in enumerate(steps)
+                  for x, kids in out for l, r in kids),
+        dict(zip(names, color))).check()
 
 
 def _k_distinct_arena(a, k):

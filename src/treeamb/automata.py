@@ -52,7 +52,8 @@ class ParityTreeAutomaton:
 
     def moves(self, q, a):
         """The sorted (q_left, q_right) pairs of q's transitions on a, as a
-        fresh list.  The index behind it is built on the first call and
+        fresh list; pairs whose states do not compare (1 and "1") are
+        sorted by str.  The index behind it is built on the first call and
         again whenever delta has been replaced."""
         delta, index = self._moves_index
         if delta is not self.delta:
@@ -61,7 +62,10 @@ class ParityTreeAutomaton:
                 index.setdefault(tr[1], {}).setdefault(tr[0], []).append(tr)
             for by_state in index.values():
                 for p, trs in by_state.items():
-                    by_state[p] = tuple(sorted(trs))
+                    try:
+                        by_state[p] = tuple(sorted(trs))
+                    except TypeError:
+                        by_state[p] = tuple(sorted(trs, key=str))
             self._moves_index = (self.delta, index)
         return [(ql, qr) for _, _, ql, qr in index.get(a, {}).get(q, ())]
 

@@ -5,28 +5,28 @@ seen infinitely often to be even) or the Pathfinder ("P", wants it odd).
 A declared sink loses for its owner.
 
 One Zielonka core, _solve_ids(), runs the attractor decomposition on an
-int arena: dense ids 0..n-1 with successor tuples, predecessor lists that
-mirror them (pred[w] lists each v with an edge v -> w, once per edge, v
-increasing), a 0/1 owner bytearray (Automaton/Pathfinder) and colors,
-every id with a move.  One liveness bytearray marks the current subgame,
-and an explicit frame stack replaces the recursion, so a deep color
-hierarchy needs no interpreter recursion.  Ties break in id order.
+int arena: dense ids 0..n-1 with successor tuples, a 0/1 owner bytearray
+(Automaton/Pathfinder) and colors, every id with a move.  It derives the
+predecessor lists the attractors walk from the successors itself.  One
+liveness bytearray marks the current subgame, and an explicit frame stack
+replaces the recursion, so a deep color hierarchy needs no interpreter
+recursion.  Ties break in id order.
 
 solve() is the front end for callers that read strategies: it interns the
 vertices and sink gadgets of a ParityGameArena in str order, so its
 regions and strategies do not depend on how the arena was built, and maps
 both back.  Winning regions are unique, so callers that need only the
 winner of some vertices skip the front end: automaton_wins() checks an
-int arena (succ, pred, owner, color, sinks) built in any order, whose
-builder made the predecessor lists during its walk, closes its sinks with
-one gadget per owner appended after it, and runs the same core.
+int arena (succ, owner, color, sinks) built in any order, closes its
+sinks with one gadget per owner appended after it, and runs the same
+core.
 
 solve_oracle() recomputes both regions with progress measures on the
 original vertices and exists purely as an independent cross-check.
 """
 
 import itertools
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import IncompleteStrategy, MalformedArena
@@ -65,9 +65,8 @@ class ParityGameArena:
 
     @classmethod
     def relabelled(cls, name, succ, owner, color, sinks, names, init=None):
-        """The arena of an int arena (as automaton_wins takes it, less its
-        predecessor lists) whose id i is named names[i]; edges keep their
-        order."""
+        """The arena of an int arena (as automaton_wins takes it) whose id
+        i is named names[i]; edges keep their order."""
         label = names.__getitem__
         return cls(name,
                    dict(zip(names, map((AUTOMATON, PATHFINDER).__getitem__,
@@ -211,39 +210,41 @@ def _zielonka(vertices, succ, pred, owner, color, choice):
         vertices += [v for v in sub[sigma] if alive[v]]
 
 
-def _close_sink(succ, pred, owner, color, v, g):
+def _close_sink(succ, owner, color, v, g):
     """Make id g the gadget of sink v: a self-loop that loses for v's owner,
-    and v's one move.  v and g are g's only predecessors."""
+    and v's one move."""
     owner[g] = owner[v]
     color[g] = 1 - owner[v]
     succ[g] = (g,)
     succ[v] = (g,)
-    pred[g] = [v, g] if v < g else [g, v]
 
 
-def _solve_ids(succ, pred, owner, color):
+def _solve_ids(succ, owner, color):
     """Zielonka on an int arena whose every id has a move.
+
+    The predecessor lists are rebuilt from succ, ids visited in increasing
+    order: pred[w] lists each v with an edge v -> w once per edge, so a
+    parallel edge counts twice in the attractors' degree counts.
 
     Returns (won, choice): won holds Automaton's and Pathfinder's winning
     id lists, and choice[v] is v's strategy move when v lies in its
     owner's region.
     """
-    nums = list(range(len(succ)))
+    nums = list(range(len(succ)))   # one int object per id, in every list
+    pred = [[] for _ in nums]
+    for v, ws in zip(nums, succ):
+        for w in ws:
+            pred[w].append(v)
     choice = [None] * len(nums)
     return _zielonka(nums, succ, pred, owner, color, choice), choice
 
 
-def _check_ids(succ, pred, owner, color, sinks):
-    """ParityGameArena.check for an int arena on ids 0..n-1, and that pred
-    mirrors succ: one list per id, ids in range, and pred[w] as long as
-    the number of edges into w."""
+def _check_ids(succ, owner, color, sinks):
+    """ParityGameArena.check for an int arena on ids 0..n-1."""
     n = len(succ)
     if len(owner) != n or len(color) != n:
         raise MalformedArena(f"{n} vertices but {len(owner)} owners and "
                              f"{len(color)} colors")
-    if len(pred) != n:
-        raise MalformedArena(f"{n} vertices but {len(pred)} predecessor "
-                             f"lists")
     if n and max(owner) > 1:
         v = next(v for v, o in enumerate(owner) if o > 1)
         raise MalformedArena(f"vertex {v} has owner {owner[v]!r}")
@@ -259,33 +260,20 @@ def _check_ids(succ, pred, owner, color, sinks):
         sinkset = set(sinks)
         v = next(v for v, ws in enumerate(succ) if not ws and v not in sinkset)
         raise MalformedArena(f"vertex {v} has no move and is not a sink")
-    tails = list(itertools.chain.from_iterable(pred))
-    if tails and not (min(tails) >= 0 and max(tails) < n):
-        w, v = next((w, v) for w, vs in enumerate(pred) for v in vs
-                    if not 0 <= v < n)
-        raise MalformedArena(f"predecessor {v} of {w} undeclared")
-    # in-range heads are counted per id; the counts add up to the number
-    # of edges exactly when no head is out of range
-    indegree = Counter(itertools.chain.from_iterable(succ))
-    counts = list(map(indegree.__getitem__, range(n)))
-    if sum(counts) != sum(map(len, succ)):
+    heads = list(itertools.chain.from_iterable(succ))
+    if heads and not (min(heads) >= 0 and max(heads) < n):
         v, w = next((v, w) for v, ws in enumerate(succ) for w in ws
                     if not 0 <= w < n)
         raise MalformedArena(f"edge {v} -> {w} dangling")
-    degrees = list(map(len, pred))
-    if counts != degrees:
-        w = next(w for w, d in enumerate(degrees) if counts[w] != d)
-        raise MalformedArena(f"vertex {w} has {counts[w]} incoming edges "
-                             f"but {degrees[w]} predecessors")
 
 
-def automaton_wins(succ, pred, owner, color, sinks):
+def automaton_wins(succ, owner, color, sinks):
     """The set of ids Automaton wins in the int arena on ids 0..n-1.
 
-    pred mirrors succ (see the module docstring); owner[v] is 0 for
-    Automaton and 1 for Pathfinder; the listed sinks have no move and lose
-    for their owner.  The arena is checked like ParityGameArena.check.
-    Ids need no particular order: the regions do not depend on it.
+    owner[v] is 0 for Automaton and 1 for Pathfinder; the listed sinks have
+    no move and lose for their owner.  The arena is checked like
+    ParityGameArena.check.  Ids need no particular order: the regions do
+    not depend on it.
 
     Each sink moves to the gadget of its owner, one self-loop per owner
     that has sinks, which loses for that owner and gets the next id from
@@ -293,7 +281,7 @@ def automaton_wins(succ, pred, owner, color, sinks):
     lists while the game is solved and taken out again before returning,
     so the arena is left as it was.
     """
-    _check_ids(succ, pred, owner, color, sinks)
+    _check_ids(succ, owner, color, sinks)
     n = len(succ)
     gadget = {}         # owner -> its gadget's id
     try:
@@ -303,16 +291,14 @@ def automaton_wins(succ, pred, owner, color, sinks):
             if g is None:
                 g = gadget[o] = len(succ)
                 succ.append((g,))
-                pred.append([g])
                 owner.append(o)
                 color.append(1 - o)
             succ[v] = (g,)
-            pred[g].append(v)
-        won = set(_solve_ids(succ, pred, owner, color)[0][0])
+        won = set(_solve_ids(succ, owner, color)[0][0])
     finally:
         for v in sinks:
             succ[v] = ()
-        del succ[n:], pred[n:], owner[n:], color[n:]
+        del succ[n:], owner[n:], color[n:]
     won.difference_update(gadget.values())
     return won
 
@@ -326,20 +312,15 @@ def solve(arena):
     n = len(verts)
     ids = dict(zip(verts, range(n)))
     edges = arena.edges.get
-    succ, pred = [], [[] for _ in verts]
-    for v, name in enumerate(verts):
-        ws = tuple(map(ids.__getitem__, edges(name, ())))
-        succ.append(ws)
-        for w in ws:
-            pred[w].append(v)
+    succ = [tuple(map(ids.__getitem__, edges(v, ()))) for v in verts]
     owner = bytearray([o == PATHFINDER for o in map(arena.owner.get, verts)])
     color = list(map(arena.color.get, verts))
     lost = bytearray(n)         # the sink gadgets
     for g, v in gadgets.items():
         i = ids[g]
-        _close_sink(succ, pred, owner, color, ids[v], i)
+        _close_sink(succ, owner, color, ids[v], i)
         lost[i] = 1
-    won, choice = _solve_ids(succ, pred, owner, color)
+    won, choice = _solve_ids(succ, owner, color)
     region, strategy = {}, {}
     for p, player in enumerate((AUTOMATON, PATHFINDER)):
         region[player] = frozenset(verts[v] for v in won[p] if not lost[v])

@@ -33,11 +33,11 @@ def _product_ids(a, t, given=None):
 
     Vertex i is numbered i when the breadth-first walk from the initial
     vertices first discovers it, the initial Automaton vertices (t.init, q)
-    first, q in str order.  Returns ((succ, pred, owner, color, sinks),
-    names) with the int arena in the form of games.automaton_wins: (m, q)
-    is owned by Automaton (0) with color C(q), and (m, ql, qr) by
-    Pathfinder (1) with color 0; an Automaton vertex with no transition on
-    the node's label is a losing sink.  names() decodes the list of vertex
+    first, q in str order.  Returns ((succ, owner, color, sinks), names)
+    with the int arena in the form of games.automaton_wins: (m, q) is
+    owned by Automaton (0) with color C(q), and (m, ql, qr) by Pathfinder
+    (1) with color 0; an Automaton vertex with no transition on the
+    node's label is a losing sink.  names() decodes the list of vertex
     names.  A tree with a letter outside a's alphabet raises
     AlphabetMismatch naming given, the automaton as the caller was given
     it (a by default).
@@ -46,8 +46,7 @@ def _product_ids(a, t, given=None):
     str order) are numbered once; (m, q) is coded m*|Q| + q and looked up
     in a dense list, (m, ql, qr) is coded (m*|Q| + ql)*|Q| + qr and looked
     up in a dict.  Each (q, letter)'s moves are fetched once, as the codes
-    ql*|Q| + qr.  The walk visits ids in increasing order and appends each
-    edge's tail to its head's predecessor list as it goes.
+    ql*|Q| + qr.
     """
     if not set(t.alphabet) <= set(a.alphabet):
         raise AlphabetMismatch(f"{t.name} is over {t.alphabet}, outside "
@@ -71,7 +70,7 @@ def _product_ids(a, t, given=None):
     avert = [None] * (len(tstates) * nq)    # Automaton vertex ids by code
     pvert = {}                              # Pathfinder vertex ids by code
     codes = []
-    succ, pred, owner, color, sinks = [], [], bytearray(), [], []
+    succ, owner, color, sinks = [], bytearray(), [], []
     m0 = mid[t.init] * nq
     for q in sorted(a.initials, key=str):
         c = m0 + qid[q]
@@ -79,7 +78,6 @@ def _product_ids(a, t, given=None):
         codes.append(c)
         owner.append(0)
         color.append(a.color[q])
-        pred.append([])
     for v, c in enumerate(codes):   # codes grows while it is walked
         if owner[v]:
             m, pair = divmod(c, nqq)
@@ -91,9 +89,6 @@ def _product_ids(a, t, given=None):
                 codes.append(w)
                 owner.append(0)
                 color.append(qcolor[ql])
-                pred.append([v])
-            else:
-                pred[jl].append(v)
             w = right[m] + qr
             jr = avert[w]
             if jr is None:
@@ -101,9 +96,6 @@ def _product_ids(a, t, given=None):
                 codes.append(w)
                 owner.append(0)
                 color.append(qcolor[qr])
-                pred.append([v])
-            else:
-                pred[jr].append(v)
             succ.append((jl, jr))
             continue
         m, q = divmod(c, nq)
@@ -124,9 +116,6 @@ def _product_ids(a, t, given=None):
                 codes.append(w)
                 owner.append(1)
                 color.append(0)
-                pred.append([v])
-            else:
-                pred[j].append(v)
             ws.append(j)
         succ.append(tuple(ws))
 
@@ -140,7 +129,7 @@ def _product_ids(a, t, given=None):
                 out.append((tstates[c // nq], states[c % nq]))
         return out
 
-    return (succ, pred, owner, color, sinks), names
+    return (succ, owner, color, sinks), names
 
 
 def _product_arena(a, t, name, given=None):
@@ -149,7 +138,7 @@ def _product_arena(a, t, name, given=None):
     the arena and the list of initial Automaton vertices (one per initial
     state of a).
     """
-    (succ, _, owner, color, sinks), names = _product_ids(a, t, given)
+    (succ, owner, color, sinks), names = _product_ids(a, t, given)
     names = names()
     inits = names[:len(a.initials)]
     init = inits[0] if len(inits) == 1 else None

@@ -1,14 +1,16 @@
 """Run-cardinality classifier: emptiness, k-distinct products, verdicts."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from treeamb.ambiguity import (INFINITE, UNCOUNTABLE, AmbiguityVerdict,
-                               _emptiness_game, _emptiness_ids, _k_distinct,
-                               _k_distinct_arena, at_least_k, classify,
+                               _emptiness_game, _emptiness_ids,
+                               _k_distinct_arena, _k_distinct_walk,
+                               at_least_k, classify,
                                emptiness,
                                find_regeneration_witness,
                                k_distinct_runs_automaton, is_k_ambiguous,
@@ -22,9 +24,9 @@ from treeamb.games import (AUTOMATON, PATHFINDER, ParityGameArena,
 from treeamb.membership import member, run_is_accepting
 from treeamb.trees import (constant_tree, graft_antichain, graft_node,
                            lstar_r_antichain, tree_equal)
-from treeamb import ambiguity, zoo
+from treeamb import ambiguity, membership, zoo
 
-from test_membership import predecessors, random_pta, random_tree
+from test_membership import multi_initial_cases, random_pta, random_tree
 
 ALPHA = ("c", "a1")
 T_C = constant_tree("c", ALPHA)
@@ -196,40 +198,47 @@ def test_is_k_ambiguous_agrees_with_structural_product():
 
 
 def test_int_product_relabels_to_structural_product():
+    # the walk numbers the structural product in breadth-first discovery
+    # order, the initial states first in str order
     for a in _k_amb_cases():
         for k in (1, 2, 3):
-            b, names = _k_distinct(a, k)
-            assert b.states == frozenset(range(len(names)))
-            assert b.initials == frozenset(range(len(b.initials)))
-            relabelled = ParityTreeAutomaton(
-                b.name, b.alphabet, frozenset(names),
-                frozenset(names[i] for i in b.initials),
-                frozenset((names[p], x, names[l], names[r])
-                          for p, x, l, r in b.delta),
-                {names[i]: c for i, c in b.color.items()})
-            assert relabelled == k_distinct_runs_automaton(a, k)
+            names, color, ninit, steps = _k_distinct_walk(a, k)
+            b = k_distinct_runs_automaton(a, k)
+            assert len(names) == len(set(names)) == len(color) == len(steps)
+            assert names[:ninit] == sorted(b.initials, key=str)
+            found = ninit
+            for out in steps:
+                for _, kids in out:
+                    for c in itertools.chain.from_iterable(kids):
+                        assert c <= found
+                        found += c == found
+            assert found == len(names)
+            assert b.color == dict(zip(names, color))
+            assert b.delta == {(names[i], x, names[l], names[r])
+                               for i, out in enumerate(steps)
+                               for x, kids in out for l, r in kids}
 
 
 def test_k_distinct_game_has_one_pathfinder_vertex_per_child_pair():
+    repeats = 0
     for a in _k_amb_cases():
         for k in (1, 2, 3):
-            (succ, pred, owner, color, sinks), ninit = _k_distinct_arena(a, k)
-            assert pred == predecessors(succ)
-            b = _k_distinct(a, k)[0]
-            n = len(b.states)
-            assert ninit == len(b.initials)
+            (succ, owner, color, sinks), ninit = _k_distinct_arena(a, k)
+            _, colors, walk_ninit, steps = _k_distinct_walk(a, k)
+            n = len(steps)
+            assert ninit == walk_ninit
             assert owner[:n] == bytearray(n) and set(owner[n:]) <= {1}
-            assert color == [b.color[i] for i in range(n)] + [0] * (
-                len(succ) - n)
+            assert color == colors + [0] * (len(succ) - n)
+            moves = [[p for _, kids in out for p in kids] for out in steps]
             pairs = [succ[v] for v in range(n, len(succ))]
             assert len(pairs) == len(set(pairs))
-            assert set(pairs) == {(l, r) for _, _, l, r in b.delta}
-            moves = {i: set() for i in range(n)}
-            for i, _, l, r in b.delta:
-                moves[i].add((l, r))
-            assert [{succ[v] for v in succ[i]} for i in range(n)] == [
-                moves[i] for i in range(n)]
+            assert set(pairs) == {p for ps in moves for p in ps}
+            # one move per distinct pair, in the order the walk lists them
+            assert [tuple(succ[v] for v in succ[i]) for i in range(n)] == [
+                tuple(dict.fromkeys(ps)) for ps in moves]
             assert sinks == [i for i in range(n) if not moves[i]]
+            repeats += sum(len(ps) > len(set(ps)) for ps in moves)
+    assert repeats      # some state reaches one pair on two letters
 
 
 # sha256 of serialize_pta(k_distinct_runs_automaton(zoo_neg_union(n), k)):
@@ -497,20 +506,36 @@ def test_int_emptiness_game_relabels_to_the_structural_arena():
             tuple(names[j] for j in ws) for ws in succ]
 
 
-def test_verdict_arenas_list_predecessors_in_id_order(monkeypatch):
-    solved = []
+def test_verdict_arenas_come_back_from_automaton_wins_unchanged(monkeypatch):
+    """The int arenas of _product_ids, _emptiness_arena and
+    _k_distinct_arena are solved as built and left as they were; the
+    emptiness arenas give each state one move per distinct pair."""
+    sinks_seen = {"_product_ids": set(), "_emptiness_arena": set(),
+                  "_k_distinct_arena": set()}
+    made_by = []
 
-    def checked(succ, pred, owner, color, sinks):
-        assert pred == predecessors(succ)
-        solved.append(bool(sinks))
-        return automaton_wins(succ, pred, owner, color, sinks)
+    def checked(succ, owner, color, sinks):
+        before = [list(succ), bytearray(owner), list(color), list(sinks)]
+        won = automaton_wins(succ, owner, color, sinks)
+        assert [succ, owner, color, sinks] == before
+        if made_by[-1] != "_product_ids":
+            assert all(len(set(ws)) == len(ws)
+                       for ws, o in zip(succ, owner) if not o)
+        sinks_seen[made_by[-1]].add(bool(sinks))
+        return won
 
+    monkeypatch.setattr(membership, "automaton_wins", checked)
     monkeypatch.setattr(ambiguity, "automaton_wins", checked)
+    for a, t in multi_initial_cases(5, 40):
+        made_by.append("_product_ids")
+        member(a, t)
     cases = _emptiness_cases() + _k_amb_cases()
     for a in cases:
-        nonempty_states(a)          # its arena from a's transitions
-        is_k_ambiguous(a, 1)        # the arena of _k_distinct_arena
-    assert len(solved) == 2 * len(cases) and set(solved) == {True, False}
+        made_by.append("_emptiness_arena")
+        nonempty_states(a)
+        made_by.append("_k_distinct_arena")
+        is_k_ambiguous(a, 1)
+    assert all(seen == {True, False} for seen in sinks_seen.values())
     assert any(len(a.initials) > 1 for a in cases)
 
 
@@ -529,7 +554,7 @@ def test_nonempty_states_and_is_k_ambiguous_agree_with_solve():
     verdicts = set()
     for a in small + [NOT_A1, zoo.zoo_neg_union(2), zoo.zoo_exists_a1()]:
         for k in (1, 2):
-            b = _k_distinct(a, k + 1)[0]
+            b = k_distinct_runs_automaton(a, k + 1)
             analysis = solve(structural_emptiness_game(b))
             empty = all(analysis.winner_of(("q", q)) == PATHFINDER
                         for q in b.initials)

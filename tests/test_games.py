@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from test_membership import predecessors, random_pta, random_tree
+from test_membership import random_pta, random_tree
 from treeamb.ambiguity import _RunCounts
 from treeamb.errors import IncompleteStrategy, MalformedArena
 from treeamb.games import (AUTOMATON, PATHFINDER, ParityGameArena,
@@ -265,7 +265,7 @@ def int_form(g, order):
     ids = {v: i for i, v in enumerate(order)}
     succ = [tuple(ids[w] for w in g.edges[v]) for v in order]
     owner = bytearray(g.owner[v] == PATHFINDER for v in order)
-    return (succ, predecessors(succ), owner, [g.color[v] for v in order],
+    return (succ, owner, [g.color[v] for v in order],
             [ids[v] for v in order if v in g.sinks])
 
 
@@ -282,24 +282,27 @@ def test_automaton_wins_matches_solve_in_any_numbering():
 
 
 def test_malformed_int_arenas_rejected():
-    ok = ([(1,), ()], [[], [0]], bytearray([0, 1]), [2, 1], [1])
+    ok = ([(1,), ()], bytearray([0, 1]), [2, 1], [1])
     assert automaton_wins(*ok) == {0, 1}     # Pathfinder's sink 1 loses
-    assert automaton_wins(*ok[:4], [1, 1]) == {0, 1}    # a sink listed twice
-    loop = [[0]]
-    for succ, pred, owner, color, sinks in [
-            ([()], [[]], bytearray([0]), [0], []),    # no move, not a sink
-            ([(0,)], loop, bytearray([0]), [0], [0]),     # sink with a move
-            ([(0,)], loop, bytearray([0]), [0], [1]),     # undeclared sink
-            ([(1,)], [[]], bytearray([0]), [0], []),      # dangling edge
-            ([(-1,)], [[]], bytearray([0]), [0], []),     # dangling edge
-            ([(0,)], loop, bytearray([2]), [0], []),      # no such owner
-            ([(0,)], loop, bytearray([0]), [-1], []),     # negative color
-            ([(0,)], loop, bytearray([0, 1]), [0], []),   # owner for no vertex
-            ([(0,)], [], bytearray([0]), [0], []),        # no pred list
-            ([(0,)], [[0], []], bytearray([0]), [0], []),     # pred for none
-            ([(1,), (0,)], [[], [0]], bytearray(2), [0, 0], []),  # missing
-            ([(0,)], [[0, 0]], bytearray([0]), [0], []),  # extra predecessor
-            ([(0,)], [[1]], bytearray([0]), [0], []),     # out of range
-            ([(0,)], [[-1]], bytearray([0]), [0], [])]:   # out of range
+    assert automaton_wins(*ok[:3], [1, 1]) == {0, 1}    # a sink listed twice
+    for succ, owner, color, sinks in [
+            ([()], bytearray([0]), [0], []),      # no move, not a sink
+            ([(0,)], bytearray([0]), [0], [0]),   # sink with a move
+            ([(0,)], bytearray([0]), [0], [1]),   # undeclared sink
+            ([(1,)], bytearray([0]), [0], []),    # dangling edge
+            ([(-1,)], bytearray([0]), [0], []),   # dangling edge
+            ([(0,)], bytearray([2]), [0], []),    # no such owner
+            ([(0,)], bytearray([0]), [-1], []),   # negative color
+            ([(0,)], bytearray([0, 1]), [0], [])]:    # owner for no vertex
         with pytest.raises(MalformedArena):
-            automaton_wins(succ, pred, owner, color, sinks)
+            automaton_wins(succ, owner, color, sinks)
+
+
+def test_automaton_wins_counts_parallel_edges():
+    # Pathfinder's 0 has two moves, both to 1, which Automaton wins on its
+    # color-2 loop; 0 is attracted only if both edges count
+    succ, owner, color = [(1, 1), (1,)], bytearray([1, 0]), [1, 2]
+    assert automaton_wins(succ, owner, color, []) == {0, 1}
+    g = arena({0: PATHFINDER, 1: AUTOMATON}, {0: 1, 1: 2},
+              {0: (1, 1), 1: (1,)})
+    assert solve(g).region[AUTOMATON] == {0, 1}

@@ -32,16 +32,6 @@ def random_tree(rng, alphabet, size):
                       name=f"rnd{size}")
 
 
-def predecessors(succ):
-    """The predecessor lists of an int arena, rebuilt from succ by visiting
-    ids in increasing order: what its builder must return."""
-    pred = [[] for _ in succ]
-    for v, ws in enumerate(succ):
-        for w in ws:
-            pred[w].append(v)
-    return pred
-
-
 def random_pta(rng, alphabet, nstates, ntrans, maxcolor):
     states = [f"q{i}" for i in range(nstates)]
     delta = set()
@@ -404,9 +394,8 @@ def test_int_product_relabels_to_the_structural_arena():
     assert sum(len(a.initials) > 1 for a, _ in cases) >= 10
     with_sinks = 0
     for a, t in cases:
-        (succ, pred, owner, color, sinks), names = _product_ids(a, t)
+        (succ, owner, color, sinks), names = _product_ids(a, t)
         names = names()
-        assert pred == predecessors(succ)       # listed in id order
         with_sinks += bool(sinks)
         assert len(succ) == len(owner) == len(color) == len(names)
         assert len(set(names)) == len(names)
@@ -422,17 +411,14 @@ def test_int_product_relabels_to_the_structural_arena():
 
 def mixed_names_pta(rng):
     """A random automaton whose states are ints, tuples and strs, where 1
-    and "1", and (0, 1) and "(0, 1)", print alike.  On each letter the left
-    children share one kind and so do the right ones, so transitions on
-    a letter compare, as sorting moves needs."""
-    kinds = ([1, 2], ["1", "(0, 1)", "x"], [(0, 1), (1, 0)])
-    states = [q for kind in kinds for q in kind]
+    and "1", and (0, 1) and "(0, 1)", print alike.  A state's children on
+    one letter mix kinds, so its transitions there need not compare."""
+    states = [1, 2, "1", "(0, 1)", "x", (0, 1), (1, 0)]
     delta = set()
     for x in ALPHA:
-        lefts, rights = rng.choice(kinds), rng.choice(kinds)
         for q in rng.sample(states, rng.randint(1, len(states))):
             for _ in range(rng.randint(1, 3)):
-                delta.add((q, x, rng.choice(lefts), rng.choice(rights)))
+                delta.add((q, x, rng.choice(states), rng.choice(states)))
     inits = frozenset(rng.sample(states, rng.randint(1, 3)))
     return ParityTreeAutomaton(
         "mixed", ALPHA, frozenset(states), inits, frozenset(delta),
@@ -454,6 +440,21 @@ def test_member_keeps_states_apart_that_print_alike():
         assert any(v in won for v in inits) == expected
         verdicts.append(expected)
     assert True in verdicts and False in verdicts
+
+
+def test_children_of_mixed_kinds_on_one_letter():
+    # (1, 1) and ("1", "1") do not compare; moves sorts them by str
+    a = ParityTreeAutomaton(
+        "mixed", ("c",), frozenset([1, "1"]), frozenset([1]),
+        frozenset([(1, "c", 1, 1), (1, "c", "1", "1")]), {1: 0, "1": 1}).check()
+    t = constant_tree("c", ("c",))
+    assert a.moves(1, "c") == [("1", "1"), (1, 1)]
+    assert member(a, t)
+    g = build_game(a, t)
+    assert g.arena == structural_product(a, t, g.arena.name)[0]
+    analysis = solve(g.arena)
+    assert analysis.winner_of(g.arena.init) == AUTOMATON
+    assert analysis.strategy[AUTOMATON][g.arena.init] == (t.init, 1, 1)
 
 
 def test_alphabet_mismatch_names_the_given_automaton():
