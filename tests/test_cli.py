@@ -1,5 +1,6 @@
 """Command-line surface: outputs and the 0/1/2 exit code contract."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -8,8 +9,11 @@ import sys
 
 import pytest
 
-from treeamb import acceptance, formats
+from treeamb import acceptance, formats, zoo
+from treeamb.automata import det_pta_for_tree
 from treeamb.cli import run
+from treeamb.trees import (constant_tree, graft_antichain, graft_node,
+                           lstar_r_antichain)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -281,3 +285,108 @@ def test_python_dash_m_treeamb_runs_the_cli(module):
         [sys.executable, "-m", module, "validate", data("free2.pta")],
         capture_output=True, text=True, env=env, timeout=60)
     assert (done.returncode, done.stdout) == (0, "ok\n"), done.stderr
+
+
+# ------------------------------------------------------ pinned output bytes
+
+def _zoo_inputs():
+    """Zoo automata and trees whose verdicts reach every certificate kind,
+    by name, as parsed objects ready to be written out."""
+    alpha = ("c", "a1")
+    t_c = constant_tree("c", alpha)
+    t_a1 = constant_tree("a1", alpha)
+    co = zoo.zoo_complement_singleton(t_c)
+    return {
+        "co.pta": co,
+        "frak.pta": zoo.zoo_frak_scheme(det_pta_for_tree(t_c), co),
+        "lfa.pta": zoo.zoo_lfa(),
+        "nomax.pta": zoo.zoo_no_max(),
+        "perf.pta": zoo.zoo_perf(),
+        "xy.pta": zoo.zoo_x_subset_ydown(),
+        "spread.mtree": graft_antichain(t_c, t_a1, lstar_r_antichain()),
+        "two.mtree": graft_node(graft_node(t_c, t_a1, "ll"), t_a1, "r"),
+        "lfa21.mtree": zoo.lfa_witness_tree(2, 1),
+        "ones.mtree": constant_tree("1", ("0", "1")),
+    }
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    """Path of a shipped fixture or of a zoo input written to tmp_path."""
+    def path(name):
+        made = _zoo_inputs().get(name)
+        if made is None:
+            return data(name)
+        out = tmp_path / name
+        out.write_text(formats.serialize_pta(made) if name.endswith(".pta")
+                       else formats.serialize_mtree(made))
+        return str(out)
+    return path
+
+
+# sha256 of `treeamb classify --json` output: (automaton, tree, --max-k)
+# -> (verdict, digest); the verdict names what each case covers
+CLASSIFY_SHA256 = {
+    ("exists_a1.pta", "t0.mtree", 8): ("exact",
+        "5e5ef5314bf50287b35671586b78af52de0e672224e0ef820c74de7399d8d193"),
+    ("exists_a1.pta", "tprime.mtree", 8): ("exact",
+        "abfc435110b475867bb2335d0bf7781b9c2d06a99968079ae30994997aec9cac"),
+    ("free2.pta", "tc.mtree", 8): ("uncountable",
+        "d1459d17db2c20f1a66497f222d44466bdeaa7018c90512ca7877012ca831eb5"),
+    ("negunion2.pta", "tc.mtree", 8): ("exact",
+        "4ca75c6239341c1c440e6484d764b9c9444c7d8773ee2386b7b906383787ddd8"),
+    ("negunion2.pta", "tprime.mtree", 8): ("exact",
+        "abfc435110b475867bb2335d0bf7781b9c2d06a99968079ae30994997aec9cac"),
+    ("co.pta", "spread.mtree", 8): ("infinite",
+        "1e4022f32c8863738758a023187ae826cffbf444e82b772dabb702c279ecbf0d"),
+    ("co.pta", "two.mtree", 8): ("exact",
+        "4ca75c6239341c1c440e6484d764b9c9444c7d8773ee2386b7b906383787ddd8"),
+    ("frak.pta", "spread.mtree", 4): ("uncountable",
+        "e92f495532db9fff408ed207222327cc5a12f5b108ad6bf6e73685be8528c7c3"),
+    ("lfa.pta", "lfa21.mtree", 8): ("exact",
+        "f39a0f6c9483c41e9afb5275670f2c97476437c27ae67e784138d00f093a3ee8"),
+    ("lfa.pta", "lfa21.mtree", 2): ("at_least",
+        "8b630a08d9fcef74c0abc51ec34b97f8a23fc16e9e503f1648b128ad9fc55d37"),
+}
+
+
+@pytest.mark.parametrize("pta,mtree,k", sorted(CLASSIFY_SHA256))
+def test_classify_json_bytes_are_pinned(pta, mtree, k, inputs, capsys):
+    assert run(["classify", "--json", "-a", inputs(pta), "-t", inputs(mtree),
+                "--max-k", str(k)]) == 0
+    out = capsys.readouterr().out
+    verdict, digest = CLASSIFY_SHA256[(pta, mtree, k)]
+    assert json.loads(out)["verdict"] == verdict
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the tree `treeamb empty --witness` writes, per automaton
+EMPTY_WITNESS_SHA256 = {
+    "exists_a1.pta":
+        "034d0d5dc079fd3427562e431ac72f87800eccb3ebec80e2c985dca8f0c2697e",
+    "free2.pta":
+        "ac6252ca0e0e182d1fe1c9ba0580c94eec90b34a2736207b9339f00769c9947e",
+    "negunion2.pta":
+        "fc36e60ebee7c11f54dc302c2c32a7ff4d8a0d634b411c951a036bc5c06dfe96",
+    "co.pta":
+        "74a35acae9440261a27c0e5db321a0fff2b99eb55130f76b55bc3364902566e1",
+    "frak.pta":
+        "8c2517e756a77cca8d2a46f6ecb144a5071146f154692e52ebdf2e61fe830160",
+    "lfa.pta":
+        "63371573a23709fac3168eedf46ffb0a114ad5f423c2db92090ffe569283d553",
+    "nomax.pta":
+        "f84a0826bbdfc06bee0df510bd05c4f20baa9d44b605d6837dcdacfc2629abf0",
+    "perf.pta":
+        "ecf5dba01ca618e82097f478e273295714bf70086ef333c4b412308dec39cbbf",
+    "xy.pta":
+        "766f6059d101dfb062c11cd18c1e4d861e155f33199d2db949def23cfa8368bc",
+}
+
+
+@pytest.mark.parametrize("pta", sorted(EMPTY_WITNESS_SHA256))
+def test_empty_witness_bytes_are_pinned(pta, inputs, tmp_path, capsys):
+    w = tmp_path / "w.mtree"
+    assert run(["empty", "-a", inputs(pta), "--witness", str(w)]) == 1
+    assert out_of(capsys) == "nonempty"
+    digest = hashlib.sha256(w.read_bytes()).hexdigest()
+    assert digest == EMPTY_WITNESS_SHA256[pta]
