@@ -27,12 +27,13 @@ the classifier reports what it can prove and otherwise counts.
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .automata import (ParityTreeAutomaton, conjunction_dpw_tuple,
                        restrict_initials)
 from .errors import InconsistentRun, NotMember
-from .games import (AUTOMATON, ParityGameArena, automaton_wins, bfs, solve,
-                    strongly_connected_components)
+from .games import (AUTOMATON, ParityGameArena, automaton_wins, bfs,
+                    cyclic_components, solve)
 from .membership import RegularRun, _product_arena, run_is_accepting
 from .trees import build_tree, tree_equal
 
@@ -88,7 +89,8 @@ def _emptiness_game(a):
 def emptiness(a):
     """A regular tree accepted by a, or None when the language is empty."""
     analysis = solve(_emptiness_game(a))
-    winners = [q for q in sorted(a.initials, key=str)
+    # repr splits initials whose str agrees (1 and "1")
+    winners = [q for q in sorted(a.initials, key=lambda q: (str(q), repr(q)))
                if analysis.winner_of(("q", q)) == AUTOMATON]
     if not winners:
         return None
@@ -328,45 +330,28 @@ class _RunCounts:
         self.succ = {v: sorted({c for cl, cr in ms for c in (cl, cr)}, key=str)
                      for v, ms in self.wmoves.items()}
         self.reach = set(bfs(self.roots, self.succ.__getitem__))
-        self._branching = None
-        self._cyclic = None
         self._counts = {}      # cap -> {vertex: saturated N(vertex)}
 
+    @cached_property
     def branching(self):
-        """{v: does a genuine choice lie at or below v?}, i.e. does v reach a
-        vertex with two winning moves; one backward walk from those."""
-        if self._branching is None:
-            pred = {}
-            for v, cs in self.succ.items():
-                for c in cs:
-                    pred.setdefault(c, []).append(v)
-            forks = [v for v, ms in self.wmoves.items() if len(ms) >= 2]
-            hit = set(bfs(forks, lambda v: pred.get(v, ())))
-            self._branching = {v: v in hit for v in self.wmoves}
-        return self._branching
+        """Vertices at or above a genuine choice, i.e. reaching a vertex
+        with two winning moves; one backward walk from those."""
+        pred = {}
+        for v, cs in self.succ.items():
+            for c in cs:
+                pred.setdefault(c, []).append(v)
+        forks = [v for v, ms in self.wmoves.items() if len(ms) >= 2]
+        return set(bfs(forks, lambda v: pred.get(v, ())))
 
+    @cached_property
     def cyclic(self):
         """Vertices lying on a cycle of the winning move graph."""
-        if self._cyclic is None:
-            succ = self.succ
-            sccs = strongly_connected_components(sorted(succ, key=str),
-                                                 lambda v: succ[v])
-            flag = {v: False for v in succ}
-            for comp in sccs:
-                if len(comp) > 1:
-                    for v in comp:
-                        flag[v] = True
-            for v in succ:
-                if v in succ[v]:
-                    flag[v] = True
-            self._cyclic = flag
-        return self._cyclic
+        return set().union(*cyclic_components(self.succ, self.succ.__getitem__))
 
     def regeneration_vertices(self):
         """Reachable vertices that are cyclic and branching, in search order."""
-        br, cy = self.branching(), self.cyclic()
         return [v for v in sorted(self.reach, key=lambda u: (u[0], str(u[1])))
-                if br.get(v) and cy.get(v)]
+                if v in self.branching and v in self.cyclic]
 
     def count(self, v, cap=None):
         """N(v), exactly or saturated at cap.
@@ -374,7 +359,7 @@ class _RunCounts:
         Only sound once regeneration_vertices() is empty: branching
         vertices then form a DAG and the worklist below terminates.
         """
-        br = self.branching()
+        br = self.branching
         memo = self._counts.setdefault(cap, {})
         expanding = set()
         stack = [(v, False)]
@@ -382,7 +367,7 @@ class _RunCounts:
             u, ready = stack.pop()
             if u in memo:
                 continue
-            if not br.get(u, False):
+            if u not in br:
                 memo[u] = 1
                 continue
             if ready:
@@ -480,17 +465,10 @@ class AmbiguityVerdict:
         return self.kind.capitalize()
 
 
-def _succ_within(counts, allowed):
-    """Winning-move successor map restricted to a vertex set."""
-    return {v: [c for c in counts.succ.get(v, ()) if c in allowed]
-            for v in allowed}
-
-
 def _shortest_path(succ, sources, targets):
     """BFS path (vertex list) from any source to any target, or None."""
-    targets = set(targets)
     parent = {}
-    for u in bfs(sources, lambda v: succ.get(v, ()), parent):
+    for u in bfs(sources, succ, parent):
         if u in targets:
             path = [u]
             while parent[path[-1]] is not None:
@@ -499,20 +477,18 @@ def _shortest_path(succ, sources, targets):
     return None
 
 
-def _cycle_through(counts, v, allowed=None, via=None):
-    """A cycle v ->+ v (inside allowed, if given) through some via vertex."""
-    succ = counts.succ if allowed is None else _succ_within(counts, allowed)
-    starts = succ.get(v, ())
-    if via is None or v in via:
-        back = _shortest_path(succ, starts, {v})
-        return None if back is None else [v] + back
-    head = _shortest_path(succ, starts, via)
-    if head is None:
-        return None
-    tail = _shortest_path(succ, succ.get(head[-1], ()), {v})
-    if tail is None:
-        return None
-    return [v] + head + tail
+def _cycle_through(counts, v, within, via):
+    """A cycle v ->+ v of winning moves inside within through some vertex
+    of via: BFS paths to via, then back to v.
+
+    Callers pass a v that lies on such a cycle, so both paths exist."""
+    def succ(u):
+        return [w for w in counts.succ[u] if w in within]
+
+    if v in via:
+        return [v] + _shortest_path(succ, succ(v), {v})
+    head = _shortest_path(succ, succ(v), via)
+    return [v] + head + _shortest_path(succ, succ(head[-1]), {v})
 
 
 def _subtree(t, m):
@@ -537,7 +513,7 @@ def _residual_runs(counts, vertex):
     a, t = counts.automaton, counts.tree
     strat, edges = counts.analysis.strategy[AUTOMATON], counts.arena.edges
     forks = {u for u, ms in counts.wmoves.items() if len(ms) >= 2}
-    path = _shortest_path(counts.succ, [vertex], forks)
+    path = _shortest_path(counts.succ.__getitem__, [vertex], forks)
     last = len(path) - 1
     dirs = ["l" if edges[strat[u]][0] == w else "r"
             for u, w in zip(path, path[1:])]
@@ -559,56 +535,66 @@ def _residual_runs(counts, vertex):
         for i in (0, 1))
 
 
-def _find_witness(counts, mode):
+def _uncountable_cycle(counts):
+    """The first (vertex, spine) of an uncountable certificate, or None.
+
+    For each even color c, take the cyclic components of the winning moves
+    on vertices of color at most c, keeping those with a vertex of color c
+    (its tops).  A vertex v of such a component S qualifies when two of its
+    winning moves re-enter S, or one does beside a branching sibling.  Its
+    spine is a cycle inside S through a top, which exists as S is strongly
+    connected and holds a cycle."""
     a = counts.automaton
-    if mode == INFINITE:
-        for v in counts.regeneration_vertices():
-            spine = _cycle_through(counts, v)
-            if spine and len(spine) > 1 and spine[-1] == v:
-                runs = _residual_runs(counts, v)
-                return RegenerationWitness(mode, v, tuple(spine), runs)
-        return None
-    if mode != UNCOUNTABLE:
-        raise ValueError(f"unknown witness mode {mode!r}")
-    order = sorted(counts.reach, key=lambda u: (u[0], str(u[1])))
-    colors = sorted({a.color[q] for q in a.states if a.color[q] % 2 == 0})
-    sccs_at = {}
-    for c in colors:
+    comps_at = []
+    for c in sorted({a.color[q] for q in a.states if a.color[q] % 2 == 0}):
         allowed = {v for v in counts.wmoves if a.color[v[1]] <= c}
-        succ = _succ_within(counts, allowed)
         comp_of = {}
-        for comp in strongly_connected_components(sorted(allowed, key=str),
-                                                  lambda v: succ[v]):
-            members = frozenset(comp)
-            tops = frozenset(u for u in comp if a.color[u[1]] == c)
-            for v in comp:
-                comp_of[v] = (members, tops)
-        sccs_at[c] = (comp_of, succ)
-    branching = counts.branching()
-    for v in order:
-        for c in colors:
-            comp_of, succ = sccs_at[c]
-            entry = comp_of.get(v)
-            if entry is None:
+        for comp in cyclic_components(allowed, counts.succ.__getitem__):
+            tops = {u for u in comp if a.color[u[1]] == c}
+            if tops:
+                for v in comp:
+                    comp_of[v] = (comp, tops)
+        comps_at.append(comp_of)
+    branching = counts.branching
+    for v in sorted(counts.reach, key=lambda u: (u[0], str(u[1]))):
+        for comp_of in comps_at:
+            if v not in comp_of:
                 continue
-            S, tops = entry
-            if len(S) == 1 and v not in succ.get(v, ()):
-                continue
-            if not tops:
-                continue
+            S, tops = comp_of[v]
             twin = sum(1 for cl, cr in counts.wmoves[v]
                        if cl in S or cr in S) >= 2
-            side = any((cl in S and branching.get(cr, False)) or
-                       (cr in S and branching.get(cl, False))
+            side = any((cl in S and cr in branching) or
+                       (cr in S and cl in branching)
                        for cl, cr in counts.wmoves[v])
-            if not (twin or side):
-                continue
-            spine = _cycle_through(counts, v, S, via=tops)
-            if not spine or spine[-1] != v or len(spine) < 2:
-                continue
-            runs = _residual_runs(counts, v)
-            return RegenerationWitness(UNCOUNTABLE, v, tuple(spine), runs)
+            if twin or side:
+                return v, _cycle_through(counts, v, S, tops)
     return None
+
+
+def _find_witness(counts, mode):
+    """The first certificate of the mode, re-checked by _witness_ok; None
+    when there is none.
+
+    An infinite certificate sits at the first regeneration vertex: it is
+    cyclic, so a cycle of winning moves runs through it."""
+    found = None
+    if mode == INFINITE:
+        regen = counts.regeneration_vertices()
+        if regen:
+            v = regen[0]
+            found = v, _cycle_through(counts, v, counts.succ, {v})
+    elif mode == UNCOUNTABLE:
+        found = _uncountable_cycle(counts)
+    else:
+        raise ValueError(f"unknown witness mode {mode!r}")
+    if found is None:
+        return None
+    v, spine = found
+    witness = RegenerationWitness(mode, v, tuple(spine),
+                                  _residual_runs(counts, v))
+    if not _witness_ok(counts, witness):
+        raise AssertionError("internal witness failed its validity checks")
+    return witness
 
 
 def find_regeneration_witness(a, t, mode):
@@ -617,10 +603,7 @@ def find_regeneration_witness(a, t, mode):
     counts = _RunCounts(a, t)
     if not counts.roots:
         raise NotMember(f"{a.name} does not accept {t.name}")
-    witness = _find_witness(counts, mode)
-    if witness is not None and not _witness_ok(counts, witness):
-        raise AssertionError("internal witness failed its validity checks")
-    return witness
+    return _find_witness(counts, mode)
 
 
 def _witness_ok(counts, witness):
@@ -674,9 +657,6 @@ def classify(a, t, K):
                         (INFINITE, AmbiguityVerdict.infinite)):
         witness = _find_witness(counts, mode)
         if witness is not None:
-            if not _witness_ok(counts, witness):
-                raise AssertionError(
-                    "internal witness failed its validity checks")
             return build(witness)
     n = counts.total(cap=K + 1)
     if n > K:

@@ -95,14 +95,6 @@ class DetParityWordAutomaton:
                     raise UnknownState(f"{self.name}: transition to unknown state")
         return self
 
-    def run(self, word):
-        q = self.init
-        seq = []
-        for a in word:
-            q = self.delta[(q, a)]
-            seq.append(q)
-        return seq
-
     def max_color(self):
         return max(self.color.values(), default=0)
 

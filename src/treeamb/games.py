@@ -514,21 +514,23 @@ def strongly_connected_components(vertices, succ):
     return sccs
 
 
+def cyclic_components(vertices, succ):
+    """The strongly connected components inside vertices that hold a cycle:
+    more than one vertex, or one vertex with a self-loop.  succ(v) may name
+    vertices outside the set; those edges are ignored."""
+    cyclic = []
+    for comp in strongly_connected_components(vertices, succ):
+        v = next(iter(comp))
+        if len(comp) > 1 or v in succ(v):
+            cyclic.append(comp)
+    return cyclic
+
+
 def has_cycle_with_max_color(vertices, succ, color, c):
     """Is there a cycle, inside the given set, whose maximal color is exactly c?"""
     sub = {v for v in vertices if color[v] <= c}
-    marked = {v for v in sub if color[v] == c}
-    if not marked:
-        return False
-    for comp in strongly_connected_components(sub, lambda v: (w for w in succ(v) if w in sub)):
-        if not comp & marked:
-            continue
-        if len(comp) > 1:
-            return True
-        v = next(iter(comp))
-        if v in set(succ(v)):
-            return True
-    return False
+    return any(color[v] == c
+               for comp in cyclic_components(sub, succ) for v in comp)
 
 
 def verify_strategy(arena, player, strategy, region=None):

@@ -44,11 +44,7 @@ class RegularTree:
 
     def label(self, v):
         """Label of node v (a direction string)."""
-        check_path(v)
-        s = self.init
-        for d in v:
-            s = self.next[(s, d)]
-        return self.out[s]
+        return self.out[self.state_at(v)]
 
     def state_at(self, v):
         check_path(v)
@@ -342,12 +338,6 @@ class MooreMachine:
     init: object
     delta: dict   # (state, input) -> state, total
     out: dict     # state -> output
-
-    def value(self, word):
-        s = self.init
-        for a in word:
-            s = self.delta[(s, a)]
-        return self.out[s]
 
     def check(self):
         for s in self.states:

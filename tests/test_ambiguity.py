@@ -1,8 +1,12 @@
 """Run-cardinality classifier: emptiness, k-distinct products, verdicts."""
 
+import collections
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +22,7 @@ from treeamb.ambiguity import (INFINITE, UNCOUNTABLE, AmbiguityVerdict,
 from treeamb.automata import (ParityTreeAutomaton, det_pta_for_tree,
                               intersect, trim_useful, union)
 from treeamb.errors import NotMember
-from treeamb.formats import serialize_pta
+from treeamb.formats import serialize_pta, verdict_to_json
 from treeamb.games import (AUTOMATON, PATHFINDER, ParityGameArena,
                            automaton_wins, solve)
 from treeamb.membership import member, run_is_accepting
@@ -57,6 +61,33 @@ def test_emptiness_witness_for_lfa():
     w = emptiness(lfa)
     assert w is not None
     assert member(lfa, w)
+
+
+# two initials that print alike: sorted on str alone, their order follows
+# the hash seed, and seeds 0 and 5 order them differently
+_ALIKE_INITIALS = """
+from treeamb.ambiguity import emptiness
+from treeamb.automata import ParityTreeAutomaton
+from treeamb.formats import serialize_mtree
+a = ParityTreeAutomaton(
+    "tie", ("c", "a1"), frozenset([1, "1"]), frozenset([1, "1"]),
+    frozenset([(1, "c", 1, 1), ("1", "a1", "1", "1")]), {1: 0, "1": 0})
+print(serialize_mtree(emptiness(a.check())), end="")
+"""
+
+
+def test_emptiness_witness_ignores_the_hash_seed():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    outs = set()
+    for seed in ("0", "5"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        done = subprocess.run([sys.executable, "-c", _ALIKE_INITIALS],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        outs.add(done.stdout)
+    assert len(outs) == 1
 
 
 def test_nonempty_states():
@@ -420,6 +451,23 @@ def test_tampered_witness_is_rejected():
     assert w2.mode == INFINITE and witness_is_valid(co, spread, w2)
     foreign = type(w2)(w2.mode, w2.vertex, w2.spine, w.runs)
     assert not witness_is_valid(co, spread, foreign)
+
+
+def test_classify_json_of_random_pairs_is_pinned():
+    # sha256 of the classify --json text of 400 seeded random pairs; the
+    # sample reaches every verdict and more than one Infinite certificate
+    rng = random.Random(20261019)
+    digest, kinds = hashlib.sha256(), collections.Counter()
+    for _ in range(400):
+        a = random_pta(rng, ALPHA, rng.randint(1, 6), rng.randint(0, 10),
+                       rng.randint(0, 4))
+        t = random_tree(rng, ALPHA, rng.randint(1, 5))
+        v = classify(a, t, 8)
+        kinds[v.kind] += 1
+        digest.update(verdict_to_json(v).encode())
+    assert kinds == {"exact": 352, UNCOUNTABLE: 46, INFINITE: 2}
+    assert digest.hexdigest() == (
+        "35019724aab7ba90706019071b44866a2c916be996db73d7bd0baaa8e4139fa3")
 
 
 def test_random_witnesses_are_valid_and_some_fork_below_the_vertex():

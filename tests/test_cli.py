@@ -313,13 +313,15 @@ def _zoo_inputs():
 @pytest.fixture
 def inputs(tmp_path):
     """Path of a shipped fixture or of a zoo input written to tmp_path."""
+    made = _zoo_inputs()
+
     def path(name):
-        made = _zoo_inputs().get(name)
-        if made is None:
+        if name not in made:
             return data(name)
         out = tmp_path / name
-        out.write_text(formats.serialize_pta(made) if name.endswith(".pta")
-                       else formats.serialize_mtree(made))
+        out.write_text(formats.serialize_pta(made[name])
+                       if name.endswith(".pta")
+                       else formats.serialize_mtree(made[name]))
         return str(out)
     return path
 

@@ -8,9 +8,9 @@ from test_membership import random_pta, random_tree
 from treeamb.ambiguity import _RunCounts
 from treeamb.errors import IncompleteStrategy, MalformedArena
 from treeamb.games import (AUTOMATON, PATHFINDER, ParityGameArena,
-                           automaton_wins, bfs, has_cycle_with_max_color,
-                           solve, solve_oracle, strongly_connected_components,
-                           verify_strategy)
+                           automaton_wins, bfs, cyclic_components,
+                           has_cycle_with_max_color, solve, solve_oracle,
+                           strongly_connected_components, verify_strategy)
 
 
 def arena(owner, color, edges, sinks=(), name="g", init=None):
@@ -171,6 +171,15 @@ def test_scc_and_cycle_helpers():
     assert has_cycle_with_max_color({3}, succ, color, 1)
     assert not has_cycle_with_max_color({0, 1, 2}, succ, color, 1)
     assert not has_cycle_with_max_color({4}, succ, color, 3)
+    # a trivial singleton holds no cycle, a self-loop does
+    assert cyclic_components({4}, succ) == []
+    assert cyclic_components({3, 4}, succ) == [{3}]
+    comps = cyclic_components({0, 1, 2, 3, 4}, succ)
+    assert sorted(sorted(c) for c in comps) == [[0, 1, 2], [3]]
+    # a 2-cycle, successors outside the set ignored, given as a generator
+    two = {5: [6, 0], 6: [5, 3]}
+    assert cyclic_components([5, 6], lambda v: (w for w in two[v])) == [{5, 6}]
+    assert cyclic_components([5], lambda v: (w for w in two[v])) == []
 
 
 def test_ties_break_in_str_order():
@@ -237,7 +246,7 @@ def test_bfs_order_parents_and_lazy_successors():
 
 
 def test_branching_is_reaching_two_winning_moves():
-    # branching() agrees with a naive closure: a winning vertex is
+    # branching agrees with a naive closure: a winning vertex is
     # branching iff it reaches, through winning moves, one with two of them
     alpha = ("c", "a1")
     rng = random.Random(4)
@@ -254,7 +263,7 @@ def test_branching_is_reaching_two_winning_moves():
                         reach.add(w)
                         todo.append(w)
             naive = any(len(counts.wmoves[u]) >= 2 for u in reach)
-            assert counts.branching()[v] == naive
+            assert (v in counts.branching) == naive
             seen.add(naive)
     assert seen == {False, True}
 
