@@ -291,7 +291,7 @@ def test_python_dash_m_treeamb_runs_the_cli(module):
 
 def _zoo_inputs():
     """Zoo automata and trees whose verdicts reach every certificate kind,
-    by name, as parsed objects ready to be written out."""
+    by file name."""
     alpha = ("c", "a1")
     t_c = constant_tree("c", alpha)
     t_a1 = constant_tree("a1", alpha)
