@@ -33,7 +33,7 @@ from .automata import (ParityTreeAutomaton, conjunction_dpw_tuple,
                        restrict_initials)
 from .errors import InconsistentRun, NotMember
 from .games import (AUTOMATON, ParityGameArena, automaton_wins, bfs,
-                    cyclic_components, solve)
+                    cycle_tops, solve)
 from .membership import RegularRun, _product_arena, run_is_accepting
 from .trees import build_tree, tree_equal
 
@@ -344,13 +344,26 @@ class _RunCounts:
         return set(bfs(forks, lambda v: pred.get(v, ())))
 
     @cached_property
+    def tops(self):
+        """games.cycle_tops of the winning move graph, as a list."""
+        color = self.automaton.color
+        return list(cycle_tops(self.succ, self.succ.__getitem__,
+                               {v: color[v[1]] for v in self.succ}))
+
+    @cached_property
     def cyclic(self):
         """Vertices lying on a cycle of the winning move graph."""
-        return set().union(*cyclic_components(self.succ, self.succ.__getitem__))
+        return {v for comp, _ in self.tops for v in comp}
+
+    @cached_property
+    def order(self):
+        """The reach set in search order: by tree state, then by automaton
+        state's str and repr (repr splits states that print alike)."""
+        return sorted(self.reach, key=lambda u: (u[0], str(u[1]), repr(u[1])))
 
     def regeneration_vertices(self):
         """Reachable vertices that are cyclic and branching, in search order."""
-        return [v for v in sorted(self.reach, key=lambda u: (u[0], str(u[1])))
+        return [v for v in self.order
                 if v in self.branching and v in self.cyclic]
 
     def count(self, v, cap=None):
@@ -538,35 +551,28 @@ def _residual_runs(counts, vertex):
 def _uncountable_cycle(counts):
     """The first (vertex, spine) of an uncountable certificate, or None.
 
-    For each even color c, take the cyclic components of the winning moves
-    on vertices of color at most c, keeping those with a vertex of color c
-    (its tops).  A vertex v of such a component S qualifies when two of its
-    winning moves re-enter S, or one does beside a branching sibling.  Its
+    The candidates are the components S of counts.tops with an even top
+    color c: cyclic components of the winning moves on vertices of color
+    at most c, each with a vertex of color c (its tops).  A vertex v of S
+    qualifies when two of its winning moves re-enter S, or one does beside
+    a branching sibling; v's components are tried lowest c first.  Its
     spine is a cycle inside S through a top, which exists as S is strongly
     connected and holds a cycle."""
-    a = counts.automaton
-    comps_at = []
-    for c in sorted({a.color[q] for q in a.states if a.color[q] % 2 == 0}):
-        allowed = {v for v in counts.wmoves if a.color[v[1]] <= c}
-        comp_of = {}
-        for comp in cyclic_components(allowed, counts.succ.__getitem__):
-            tops = {u for u in comp if a.color[u[1]] == c}
-            if tops:
-                for v in comp:
-                    comp_of[v] = (comp, tops)
-        comps_at.append(comp_of)
-    branching = counts.branching
-    for v in sorted(counts.reach, key=lambda u: (u[0], str(u[1]))):
-        for comp_of in comps_at:
-            if v not in comp_of:
-                continue
-            S, tops = comp_of[v]
+    comps_of = {}       # vertex -> its even-topped components, outer first
+    for S, c in counts.tops:
+        if c % 2 == 0:
+            for v in S:
+                comps_of.setdefault(v, []).append((S, c))
+    color, branching = counts.automaton.color, counts.branching
+    for v in counts.order:
+        for S, c in reversed(comps_of.get(v, ())):
             twin = sum(1 for cl, cr in counts.wmoves[v]
                        if cl in S or cr in S) >= 2
             side = any((cl in S and cr in branching) or
                        (cr in S and cl in branching)
                        for cl, cr in counts.wmoves[v])
             if twin or side:
+                tops = {u for u in S if color[u[1]] == c}
                 return v, _cycle_through(counts, v, S, tops)
     return None
 

@@ -5,8 +5,8 @@ states, init, edges/transitions, each block sorted by the written tokens)
 so that parse followed by serialize reproduces a serializer-written file
 byte for byte.  States whose str() forms are unique and whitespace-free
 are written as-is; anything else (tuples, mostly) is renamed q0, q1, ...
-in str-sorted order, consistently across an automaton and any runs or
-strategies serialized against it.
+in str-sorted order, repr breaking ties, consistently across an automaton
+and any runs or strategies serialized against it.
 """
 
 import contextlib
@@ -23,7 +23,7 @@ from .zoo import NiwinskiRepresentation
 
 def token_map(items):
     """Canonical printable name for each item (see module docstring)."""
-    items = sorted(items, key=str)
+    items = sorted(items, key=lambda x: (str(x), repr(x)))
     toks = [str(x) for x in items]
     if len(set(toks)) == len(toks) and all(t.split() == [t] for t in toks):
         return {x: str(x) for x in items}

@@ -514,23 +514,29 @@ def strongly_connected_components(vertices, succ):
     return sccs
 
 
-def cyclic_components(vertices, succ):
-    """The strongly connected components inside vertices that hold a cycle:
-    more than one vertex, or one vertex with a self-loop.  succ(v) may name
-    vertices outside the set; those edges are ignored."""
-    cyclic = []
-    for comp in strongly_connected_components(vertices, succ):
-        v = next(iter(comp))
-        if len(comp) > 1 or v in succ(v):
-            cyclic.append(comp)
-    return cyclic
+def cycle_tops(vertices, succ, color):
+    """Yield (S, c) for each strongly connected component S inside vertices
+    that holds a cycle (more than one vertex, or one with a self-loop), c
+    being S's maximal color; then the same, level by level, inside the
+    vertices of each S whose colors are below its c.  succ(v) may name
+    vertices outside the set; those edges are ignored.
 
-
-def has_cycle_with_max_color(vertices, succ, color, c):
-    """Is there a cycle, inside the given set, whose maximal color is exactly c?"""
-    sub = {v for v in vertices if color[v] <= c}
-    return any(color[v] == c
-               for comp in cyclic_components(sub, succ) for v in comp)
+    Each yielded S is a cyclic component of the vertices of color at most
+    c, holding a vertex of color c, and every such component is yielded:
+    so a cycle whose maximal color is c exists iff some S comes with c.
+    One Tarjan pass covers a whole level, since no cycle spans two
+    components of the level above.
+    """
+    level = list(vertices)
+    while level:
+        below = []
+        for comp in strongly_connected_components(level, succ):
+            v = next(iter(comp))
+            if len(comp) > 1 or v in succ(v):
+                c = max(map(color.__getitem__, comp))
+                yield comp, c
+                below += [u for u in comp if color[u] < c]
+        level = below
 
 
 def verify_strategy(arena, player, strategy, region=None):
@@ -541,21 +547,14 @@ def verify_strategy(arena, player, strategy, region=None):
     a reachable sink belongs to the player.
     """
     arena.check()
-    start = set(region) if region is not None else set(strategy)
-    seen = set()
-    queue = deque(start)
     restricted = {}
-    while queue:
-        v = queue.popleft()
-        if v in seen:
-            continue
-        seen.add(v)
+    for v in bfs(strategy if region is None else region,
+                 restricted.__getitem__):
         if v in arena.sinks:
             if arena.owner[v] == player:
                 return False
             restricted[v] = ()
-            continue
-        if arena.owner[v] == player:
+        elif arena.owner[v] == player:
             if v not in strategy:
                 raise IncompleteStrategy(f"no move chosen at {v!r}")
             w = strategy[v]
@@ -564,10 +563,6 @@ def verify_strategy(arena, player, strategy, region=None):
             restricted[v] = (w,)
         else:
             restricted[v] = arena.edges[v]
-        queue.extend(restricted[v])
     bad = 1 if player == AUTOMATON else 0
-    for c in sorted({arena.color[v] for v in seen}):
-        if c % 2 == bad and has_cycle_with_max_color(
-                seen, lambda v: restricted[v], arena.color, c):
-            return False
-    return True
+    return all(c % 2 != bad for _, c in
+               cycle_tops(restricted, restricted.__getitem__, arena.color))

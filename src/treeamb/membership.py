@@ -23,7 +23,7 @@ from .automata import single_initial
 from .errors import (AlphabetMismatch, IncompleteStrategy, InconsistentRun,
                      IsMember, NotMember, PreconditionViolated, StateMismatch)
 from .games import (AUTOMATON, PATHFINDER, ParityGameArena, automaton_wins,
-                    bfs, has_cycle_with_max_color, solve)
+                    bfs, cycle_tops, solve)
 from .trees import (RegularTree, build_tree, check_path, graft_node,
                     tree_equal)
 
@@ -234,10 +234,7 @@ def run_is_accepting(run):
 
     reach = list(bfs([mach.init], succ))
     colors = {s: a.color[mach.out[s]] for s in reach}
-    for c in sorted({v for v in colors.values() if v % 2 == 1}):
-        if has_cycle_with_max_color(reach, succ, colors, c):
-            return False
-    return True
+    return all(c % 2 == 0 for _, c in cycle_tops(reach, succ, colors))
 
 
 def automaton_strategy_to_run(g, analysis):
@@ -258,7 +255,8 @@ def automaton_strategy_to_run(g, analysis):
     if g.automaton is not a:
         # the funnel state copied some initial state's transition; recover it
         _, ql, qr = strat[root]
-        root_out = next(q for q in sorted(a.initials, key=str)
+        root_out = next(q for q in sorted(a.initials,
+                                          key=lambda q: (str(q), repr(q)))
                         if (q, t.out[t.init], ql, qr) in a.delta)
 
     def succ(v, d):

@@ -16,7 +16,7 @@ from treeamb.membership import (automaton_strategy_to_run, build_game, member,
 from treeamb.trees import (constant_tree, last_letter_machine,
                            lstar_r_antichain, tree_equal)
 
-from test_membership import random_tree
+from test_membership import outputs_under_hash_seeds, random_tree
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -106,6 +106,27 @@ def test_unprintable_states_renamed_stably():
     text = formats.serialize_pta(nb)
     assert "\xa0" not in text and "state q0" in text
     assert formats.serialize_pta(formats.parse_pta(text, "nbsp.pta")) == text
+
+
+# 1 and "1", and (0, 1) and "(0, 1)", print alike, so every state is
+# renamed; sorted on str alone, 1 and "1" swapped names between hash seeds
+# 0 and 29
+_ALIKE_STATES = """
+from treeamb.automata import ParityTreeAutomaton
+from treeamb.formats import serialize_pta
+states = [1, "1", (0, 1), "(0, 1)", "a", "b", "c", "d", "e"]
+a = ParityTreeAutomaton(
+    "tie", ("x",), frozenset(states), frozenset([1]),
+    frozenset((q, "x", q, q) for q in states),
+    {q: i % 2 for i, q in enumerate(states)})
+print(serialize_pta(a.check()), end="")
+"""
+
+
+def test_renamed_states_ignore_the_hash_seed():
+    (text,) = outputs_under_hash_seeds(_ALIKE_STATES, ("0", "29"))
+    # repr breaks the tie: "'1'" sorts before "1", so "1" is q2 and 1 is q3
+    assert "init q3" in text and "state q2 color=1" in text
 
 
 def test_numeric_state_tokens_sort_as_strings():

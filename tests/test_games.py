@@ -8,9 +8,9 @@ from test_membership import random_pta, random_tree
 from treeamb.ambiguity import _RunCounts
 from treeamb.errors import IncompleteStrategy, MalformedArena
 from treeamb.games import (AUTOMATON, PATHFINDER, ParityGameArena,
-                           automaton_wins, bfs, cyclic_components,
-                           has_cycle_with_max_color, solve, solve_oracle,
-                           strongly_connected_components, verify_strategy)
+                           automaton_wins, bfs, cycle_tops, solve,
+                           solve_oracle, strongly_connected_components,
+                           verify_strategy)
 
 
 def arena(owner, color, edges, sinks=(), name="g", init=None):
@@ -162,24 +162,83 @@ def test_verify_rejects_reachable_owned_sink():
     assert not verify_strategy(g, AUTOMATON, {"a": "s"}, {"a"})
 
 
+def test_verify_rejects_a_bad_cycle_below_a_good_top():
+    # a -> p -> a tops at 2, good for Automaton; inside it, Pathfinder's
+    # self-loop at p tops at 1, so Pathfinder can stay there and win
+    owner = {"a": AUTOMATON, "p": PATHFINDER}
+    edges = {"a": ["p"], "p": ["a", "p"]}
+    g = arena(owner, {"a": 2, "p": 1}, edges)
+    assert not verify_strategy(g, AUTOMATON, {"a": "p"}, {"a"})
+    g = arena(owner, {"a": 2, "p": 0}, edges)
+    assert verify_strategy(g, AUTOMATON, {"a": "p"}, {"a"})
+
+
+def tops_of(vertices, succ, color):
+    return sorted((sorted(S), c) for S, c in cycle_tops(vertices, succ, color))
+
+
 def test_scc_and_cycle_helpers():
     succ = {0: [1], 1: [2], 2: [0], 3: [3], 4: [0]}.__getitem__
     comps = strongly_connected_components({0, 1, 2, 3, 4}, succ)
     assert sorted(sorted(c) for c in comps) == [[0, 1, 2], [3], [4]]
     color = {0: 0, 1: 2, 2: 1, 3: 1, 4: 3}
-    assert has_cycle_with_max_color({0, 1, 2, 3, 4}, succ, color, 2)
-    assert has_cycle_with_max_color({3}, succ, color, 1)
-    assert not has_cycle_with_max_color({0, 1, 2}, succ, color, 1)
-    assert not has_cycle_with_max_color({4}, succ, color, 3)
-    # a trivial singleton holds no cycle, a self-loop does
-    assert cyclic_components({4}, succ) == []
-    assert cyclic_components({3, 4}, succ) == [{3}]
-    comps = cyclic_components({0, 1, 2, 3, 4}, succ)
-    assert sorted(sorted(c) for c in comps) == [[0, 1, 2], [3]]
+    # 0 -> 1 -> 2 -> 0 tops at 2, and 0 and 2 below it hold no cycle; 3's
+    # self-loop tops at 1; the trivial singleton 4 holds no cycle
+    assert tops_of({0, 1, 2, 3, 4}, succ, color) == [([0, 1, 2], 2),
+                                                     ([3], 1)]
+    assert tops_of({0, 1, 2}, succ, color) == [([0, 1, 2], 2)]
+    assert tops_of({3, 4}, succ, color) == [([3], 1)]
+    assert tops_of({4}, succ, color) == []
     # a 2-cycle, successors outside the set ignored, given as a generator
     two = {5: [6, 0], 6: [5, 3]}
-    assert cyclic_components([5, 6], lambda v: (w for w in two[v])) == [{5, 6}]
-    assert cyclic_components([5], lambda v: (w for w in two[v])) == []
+    color.update({5: 0, 6: 4})
+
+    def gen(v):
+        return (w for w in two[v])
+
+    assert tops_of([5, 6], gen, color) == [([5, 6], 4)]
+    assert tops_of([5], gen, color) == []
+    # nested levels: 7 -> 8 -> 9 -> 7 tops at 4, 8 <-> 9 at 2 inside it,
+    # and 8's self-loop at 1 inside that
+    nest = {7: [8], 8: [8, 9], 9: [7, 8]}.__getitem__
+    color.update({7: 4, 8: 1, 9: 2})
+    assert tops_of([7, 8, 9], nest, color) == [([7, 8, 9], 4), ([8], 1),
+                                               ([8, 9], 2)]
+
+
+def max_color_components(vertices, succ, color, c):
+    """The per-color definition cycle_tops answers: the strongly connected
+    components inside the vertices of color at most c that hold a cycle
+    and a vertex of color c."""
+    sub = {v for v in vertices if color[v] <= c}
+    found = []
+    for comp in strongly_connected_components(sub, succ):
+        v = next(iter(comp))
+        if (len(comp) > 1 or v in succ(v)) and any(color[u] == c
+                                                   for u in comp):
+            found.append(comp)
+    return found
+
+
+def test_cycle_tops_matches_the_per_color_definition():
+    rng = random.Random(20261019)
+    nested = 0
+    for _ in range(1500):
+        n = rng.randint(1, 9)
+        vertices = list(range(n))
+        color = {v: rng.randint(0, 4) for v in range(n + 2)}
+        # ids n and n + 1 lie outside the set
+        edges = {v: [rng.randrange(n + 2) for _ in range(rng.randint(0, 3))]
+                 for v in vertices}
+        found = list(cycle_tops(vertices, edges.__getitem__, color))
+        # some vertex lies in components of two levels
+        nested += sum(map(len, (S for S, _ in found))) > len(
+            set().union(*(S for S, _ in found)))
+        for c in range(5):
+            want = max_color_components(vertices, edges.__getitem__, color, c)
+            got = [S for S, top in found if top == c]
+            assert sorted(map(sorted, got)) == sorted(map(sorted, want))
+    assert nested > 50
 
 
 def test_ties_break_in_str_order():

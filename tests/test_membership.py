@@ -3,6 +3,8 @@
 import hashlib
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -23,6 +25,22 @@ ALPHA = ("c", "a1")
 T_C = constant_tree("c", ALPHA)
 T_A1 = constant_tree("a1", ALPHA)
 NOT_A1 = forbid_letter("a1", ALPHA)
+
+
+def outputs_under_hash_seeds(script, seeds):
+    """The distinct stdouts of script, run in a fresh interpreter on this
+    checkout's treeamb once per PYTHONHASHSEED in seeds."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    outs = set()
+    for seed in seeds:
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        outs.add(done.stdout)
+    return outs
 
 
 def random_tree(rng, alphabet, size):
@@ -158,6 +176,27 @@ def test_run_from_union_strategy_picks_an_initial_state():
     run = automaton_strategy_to_run(g, solve(g.arena))
     assert run.machine.out[run.machine.init] in nb.initials
     assert run_is_accepting(run)
+
+
+# initials 1 and "1" both carry the funnel's transition; sorted on str
+# alone, the run's root followed the hash seed (seeds 0 and 5 disagreed)
+_ALIKE_ROOTS = """
+from treeamb.automata import ParityTreeAutomaton
+from treeamb.games import solve
+from treeamb.membership import automaton_strategy_to_run, build_game
+from treeamb.trees import constant_tree
+a = ParityTreeAutomaton(
+    "tie", ("c",), frozenset([1, "1"]), frozenset([1, "1"]),
+    frozenset([(1, "c", 1, 1), ("1", "c", 1, 1)]), {1: 0, "1": 0})
+g = build_game(a.check(), constant_tree("c", ("c",)))
+run = automaton_strategy_to_run(g, solve(g.arena))
+print(repr(run.machine.out[run.machine.init]))
+"""
+
+
+def test_run_root_ignores_the_hash_seed():
+    # repr breaks the tie: "'1'" sorts before "1"
+    assert outputs_under_hash_seeds(_ALIKE_ROOTS, ("0", "5")) == {"'1'\n"}
 
 
 def test_strategy_to_run_raises_when_not_member():
