@@ -32,9 +32,8 @@ from functools import cached_property
 from .automata import (ParityTreeAutomaton, conjunction_dpw_tuple,
                        restrict_initials)
 from .errors import InconsistentRun, NotMember
-from .games import (AUTOMATON, ParityGameArena, automaton_wins, bfs,
-                    cycle_tops, solve)
-from .membership import RegularRun, _product_arena, run_is_accepting
+from .games import automaton_wins, bfs, cycle_tops, in_str_order
+from .membership import RegularRun, _product_ids, run_is_accepting
 from .trees import build_tree, tree_equal
 
 INFINITE = "infinite"
@@ -50,14 +49,15 @@ _SPLIT = (("s", "d"), ("d", "s"))
 
 def _emptiness_ids(a):
     """The witness-path emptiness game on dense int ids, and the name of
-    each id; verdict-only callers use _emptiness_arena.
+    each id.
 
     States pick a transition, transitions branch to both children.  State
     q is named ("q", q) and transition tr ("t", tr): the states come first
     in str order, then each state's transitions in str order, which is
     also the order of the state's moves.  A state with no transitions at
     all is a losing sink for Automaton.  Returns (succ, owner, color,
-    sinks, names) in the form of ParityGameArena.relabelled.
+    sinks, names): the int arena as games.automaton_wins takes it, and
+    names[i] the name of id i.
     """
     bystate = {}
     for tr in a.delta:
@@ -81,23 +81,19 @@ def _emptiness_ids(a):
     return succ, owner, color, sinks, names
 
 
-def _emptiness_game(a):
-    """The emptiness game of _emptiness_ids as a ParityGameArena."""
-    return ParityGameArena.relabelled(f"empty[{a.name}]", *_emptiness_ids(a))
-
-
 def emptiness(a):
     """A regular tree accepted by a, or None when the language is empty."""
-    analysis = solve(_emptiness_game(a))
+    arena, names, _ = in_str_order(*_emptiness_ids(a))
+    won, choice = automaton_wins(*arena)
+    ids = dict(zip(names, range(len(names))))
     # repr splits initials whose str agrees (1 and "1")
     winners = [q for q in sorted(a.initials, key=lambda q: (str(q), repr(q)))
-               if analysis.winner_of(("q", q)) == AUTOMATON]
+               if ids[("q", q)] in won]
     if not winners:
         return None
-    strat = analysis.strategy[AUTOMATON]
 
     def chosen(q):
-        return strat[("q", q)][1]
+        return names[choice[ids[("q", q)]]][1]
 
     return build_tree(winners[0],
                       lambda q, d: chosen(q)[2 if d == "l" else 3],
@@ -105,39 +101,13 @@ def emptiness(a):
                       a.alphabet, name=f"wit[{a.name}]")
 
 
-def _emptiness_arena(color, moves):
-    """The verdict-only emptiness game of an automaton on states 0..n-1.
-
-    color[i] is state i's color and moves[i] the (left, right) pairs of
-    state i's transitions, repeats allowed; letters play no part in
-    emptiness.  State i is Automaton's vertex i; each distinct pair, over
-    all states, is one Pathfinder vertex of color 0 after the states,
-    with the two children as its moves, and state i has one move per
-    distinct pair of its own.  A state without moves is a losing sink.
-    Returns (succ, owner, color, sinks) for games.automaton_wins.
-    """
-    n = len(moves)
-    pair_ids = {}
-    succ = [tuple(dict.fromkeys([n + pair_ids.setdefault(p, len(pair_ids))
-                                 for p in ps]))
-            for ps in moves]
-    sinks = [i for i, ws in enumerate(succ) if not ws]
-    succ += pair_ids
-    owner = bytearray(n) + b"\x01" * len(pair_ids)
-    return succ, owner, list(color) + [0] * len(pair_ids), sinks
-
-
 def nonempty_states(a):
     """States from which some accepting run exists (on some tree): the
-    states Automaton wins in a's _emptiness_arena game."""
-    states = list(a.states)
-    ids = {q: i for i, q in enumerate(states)}
-    moves = [set() for _ in states]
-    for q, _, ql, qr in a.delta:
-        moves[ids[q]].add((ids[ql], ids[qr]))
-    won = automaton_wins(*_emptiness_arena([a.color[q] for q in states],
-                                           moves))
-    return frozenset(q for q, i in ids.items() if i in won)
+    states Automaton wins in a's _emptiness_ids game."""
+    *arena, names = _emptiness_ids(a)
+    won, _ = automaton_wins(*arena)
+    # the states are ids 0..|Q|-1
+    return frozenset(names[i][1] for i in won if i < len(a.states))
 
 
 # ------------------------------------------------------ k distinct runs
@@ -280,11 +250,24 @@ def k_distinct_runs_automaton(a, k):
 def _k_distinct_arena(a, k):
     """The verdict-only emptiness game of the k-distinct product, built from
     its walk with no automaton in between, and the number of initial
-    states (ids 0..ninit-1)."""
+    states (ids 0..ninit-1).
+
+    Letters play no part: state i is Automaton's vertex i, with one move
+    per distinct (left, right) child pair of its own; each distinct pair
+    is one Pathfinder vertex of color 0 after the states, moving to the
+    two children.  A state without moves is a losing sink.
+    """
     _, color, ninit, steps = _k_distinct_walk(a, k)
-    moves = [[p for _, kids in out for p in kids] for out in steps]
-    del steps       # freed before the arena's lists are allocated
-    return _emptiness_arena(color, moves), ninit
+    n = len(steps)
+    pair_ids = {}
+    succ = [tuple(dict.fromkeys([n + pair_ids.setdefault(p, len(pair_ids))
+                                 for _, kids in out for p in kids]))
+            for out in steps]
+    del steps
+    sinks = [i for i, ws in enumerate(succ) if not ws]
+    succ += pair_ids
+    owner = bytearray(n) + b"\x01" * len(pair_ids)
+    return (succ, owner, color + [0] * len(pair_ids), sinks), ninit
 
 
 def is_k_ambiguous(a, k):
@@ -297,37 +280,38 @@ def is_k_ambiguous(a, k):
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     arena, ninit = _k_distinct_arena(a, k + 1)
-    return automaton_wins(*arena).isdisjoint(range(ninit))
+    return automaton_wins(*arena)[0].isdisjoint(range(ninit))
 
 
 # ------------------------------------------------------- counting core
 
 class _RunCounts:
-    """Winning-region counting data for one automaton/tree pair.
+    """Winning-region counting data for one automaton/tree pair, on the
+    ids of _product_ids renumbered by games.in_str_order.
 
-    wmoves maps each winning vertex to its winning moves as (left, right)
-    vertex pairs and succ to their children, sorted by str; roots are the
-    winning initial vertices; reach is the set reachable from the roots
-    through winning moves (= vertices occurring in accepting runs).
+    names, color, edges and strategy (Automaton's choices) are lists over
+    the ids; only order and the witness code read names.  wmoves maps
+    each winning Automaton vertex to its winning moves as (left, right)
+    pairs and succ to their children, sorted; roots are the winning
+    initial vertices; reach is the set reachable from the roots through
+    winning moves (= vertices occurring in accepting runs).
     """
 
     def __init__(self, a, t):
         self.automaton = a
         self.tree = t
-        arena, inits = _product_arena(a, t, f"count[{a.name},{t.name}]")
-        analysis = solve(arena)
-        self.arena = arena
-        self.analysis = analysis
-        won = analysis.region[AUTOMATON]
-        self.roots = tuple(v for v in inits if v in won)
+        arena, names = _product_ids(a, t)
+        arena, self.names, rank = in_str_order(*arena, names())
+        won, self.strategy = automaton_wins(*arena)
+        edges, owner, self.color, _ = arena
+        self.edges = edges
+        # the initial vertices had ids 0.., in str order of their states
+        self.roots = tuple(v for v in rank[:len(a.initials)] if v in won)
         # winning moves of a winning Automaton vertex: the Pathfinder
         # successors inside W, given as their (left child, right child)
-        self.wmoves = {}
-        for v in arena.owner:
-            if len(v) == 2 and v in won:
-                self.wmoves[v] = tuple(tuple(arena.edges[pv])
-                                       for pv in arena.edges[v] if pv in won)
-        self.succ = {v: sorted({c for cl, cr in ms for c in (cl, cr)}, key=str)
+        self.wmoves = {v: tuple(edges[p] for p in edges[v] if p in won)
+                       for v in won if not owner[v]}
+        self.succ = {v: sorted({c for m in ms for c in m})
                      for v, ms in self.wmoves.items()}
         self.reach = set(bfs(self.roots, self.succ.__getitem__))
         self._counts = {}      # cap -> {vertex: saturated N(vertex)}
@@ -346,9 +330,7 @@ class _RunCounts:
     @cached_property
     def tops(self):
         """games.cycle_tops of the winning move graph, as a list."""
-        color = self.automaton.color
-        return list(cycle_tops(self.succ, self.succ.__getitem__,
-                               {v: color[v[1]] for v in self.succ}))
+        return list(cycle_tops(self.succ, self.succ.__getitem__, self.color))
 
     @cached_property
     def cyclic(self):
@@ -359,7 +341,9 @@ class _RunCounts:
     def order(self):
         """The reach set in search order: by tree state, then by automaton
         state's str and repr (repr splits states that print alike)."""
-        return sorted(self.reach, key=lambda u: (u[0], str(u[1]), repr(u[1])))
+        names = self.names
+        return sorted(self.reach, key=lambda u: (
+            names[u][0], str(names[u][1]), repr(names[u][1])))
 
     def regeneration_vertices(self):
         """Reachable vertices that are cyclic and branching, in search order."""
@@ -522,9 +506,9 @@ def _residual_runs(counts, vertex):
     cycle, so the fork is placed at a node, not patched into the strategy:
     machine states are (vertex, depth along the path), depth None off it.
     """
-    m, q = vertex
     a, t = counts.automaton, counts.tree
-    strat, edges = counts.analysis.strategy[AUTOMATON], counts.arena.edges
+    strat, edges, names = counts.strategy, counts.edges, counts.names
+    m, q = names[vertex]
     forks = {u for u, ms in counts.wmoves.items() if len(ms) >= 2}
     path = _shortest_path(counts.succ.__getitem__, [vertex], forks)
     last = len(path) - 1
@@ -543,7 +527,7 @@ def _residual_runs(counts, vertex):
     return tuple(
         RegularRun(aq, sub, build_tree((vertex, 0),
                                        lambda s, d, i=i: step(s, d, i),
-                                       lambda s: s[0][1], alphabet,
+                                       lambda s: names[s[0]][1], alphabet,
                                        name=f"run[{aq.name},{sub.name}]#{i}"))
         for i in (0, 1))
 
@@ -563,7 +547,7 @@ def _uncountable_cycle(counts):
         if c % 2 == 0:
             for v in S:
                 comps_of.setdefault(v, []).append((S, c))
-    color, branching = counts.automaton.color, counts.branching
+    color, branching = counts.color, counts.branching
     for v in counts.order:
         for S, c in reversed(comps_of.get(v, ())):
             twin = sum(1 for cl, cr in counts.wmoves[v]
@@ -572,7 +556,7 @@ def _uncountable_cycle(counts):
                        (cr in S and cl in branching)
                        for cl, cr in counts.wmoves[v])
             if twin or side:
-                tops = {u for u in S if color[u[1]] == c}
+                tops = {u for u in S if color[u] == c}
                 return v, _cycle_through(counts, v, S, tops)
     return None
 
@@ -596,7 +580,9 @@ def _find_witness(counts, mode):
     if found is None:
         return None
     v, spine = found
-    witness = RegenerationWitness(mode, v, tuple(spine),
+    names = counts.names
+    witness = RegenerationWitness(mode, names[v],
+                                  tuple(map(names.__getitem__, spine)),
                                   _residual_runs(counts, v))
     if not _witness_ok(counts, witness):
         raise AssertionError("internal witness failed its validity checks")
@@ -615,19 +601,19 @@ def find_regeneration_witness(a, t, mode):
 def _witness_ok(counts, witness):
     """witness_is_valid against an already solved product."""
     a = counts.automaton
-    v = witness.vertex
-    if v not in counts.reach:
-        return False
-    spine = witness.spine
+    # a name outside the reach set maps to None, which has no winning move
+    ids = {counts.names[u]: u for u in counts.reach}
+    v = ids.get(witness.vertex)
+    spine = [ids.get(u) for u in witness.spine]
     if len(spine) < 2 or spine[0] != v or spine[-1] != v:
         return False
     for u, w in zip(spine, spine[1:]):
         if not any(w in (cl, cr) for cl, cr in counts.wmoves.get(u, ())):
             return False
-    if witness.mode == UNCOUNTABLE:
-        if max(a.color[q] for _, q in spine) % 2 != 0:
-            return False
-    m, q = v
+    if (witness.mode == UNCOUNTABLE
+            and max(map(counts.color.__getitem__, spine)) % 2 != 0):
+        return False
+    m, q = witness.vertex
     sub = _subtree(counts.tree, m)
     # judge each run as a run of A_q: a's transitions and colors, root q
     aq = restrict_initials(a, frozenset([q]))

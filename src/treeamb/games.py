@@ -12,14 +12,14 @@ liveness bytearray marks the current subgame, and an explicit frame stack
 replaces the recursion, so a deep color hierarchy needs no interpreter
 recursion.  Ties break in id order.
 
-solve() is the front end for callers that read strategies: it interns the
-vertices and sink gadgets of a ParityGameArena in str order, so its
-regions and strategies do not depend on how the arena was built, and maps
-both back.  Winning regions are unique, so callers that need only the
-winner of some vertices skip the front end: automaton_wins() checks an
-int arena (succ, owner, color, sinks) built in any order, closes its
-sinks with one gadget per owner appended after it, and runs the same
-core.
+solve() is the front end for named arenas: it interns the vertices and
+sink gadgets of a ParityGameArena in str order, so its regions and
+strategies do not depend on how the arena was built, and maps both back.
+automaton_wins() checks an int arena (succ, owner, color, sinks), closes
+its sinks with one gadget per owner appended after it, runs the same
+core and returns Automaton's region and choices, the choices breaking
+ties in id order.  After in_str_order() they are solve's choices
+whenever every sink is Automaton's.
 
 solve_oracle() recomputes both regions with progress measures on the
 original vertices and exists purely as an independent cross-check.
@@ -62,18 +62,6 @@ class ParityGameArena:
         if self.init is not None and self.init not in self.owner:
             raise MalformedArena(f"initial vertex {self.init!r} undeclared")
         return self
-
-    @classmethod
-    def relabelled(cls, name, succ, owner, color, sinks, names, init=None):
-        """The arena of an int arena (as automaton_wins takes it) whose id
-        i is named names[i]; edges keep their order."""
-        label = names.__getitem__
-        return cls(name,
-                   dict(zip(names, map((AUTOMATON, PATHFINDER).__getitem__,
-                                       owner))),
-                   dict(zip(names, color)),
-                   {v: tuple(map(label, ws)) for v, ws in zip(names, succ)},
-                   frozenset(map(label, sinks)), init)
 
 
 @dataclass
@@ -210,15 +198,6 @@ def _zielonka(vertices, succ, pred, owner, color, choice):
         vertices += [v for v in sub[sigma] if alive[v]]
 
 
-def _close_sink(succ, owner, color, v, g):
-    """Make id g the gadget of sink v: a self-loop that loses for v's owner,
-    and v's one move."""
-    owner[g] = owner[v]
-    color[g] = 1 - owner[v]
-    succ[g] = (g,)
-    succ[v] = (g,)
-
-
 def _solve_ids(succ, owner, color):
     """Zielonka on an int arena whose every id has a move.
 
@@ -268,12 +247,15 @@ def _check_ids(succ, owner, color, sinks):
 
 
 def automaton_wins(succ, owner, color, sinks):
-    """The set of ids Automaton wins in the int arena on ids 0..n-1.
+    """The ids Automaton wins in the int arena on ids 0..n-1, and its
+    choices.
 
     owner[v] is 0 for Automaton and 1 for Pathfinder; the listed sinks have
     no move and lose for their owner.  The arena is checked like
-    ParityGameArena.check.  Ids need no particular order: the regions do
-    not depend on it.
+    ParityGameArena.check.  Returns (won, choice): won is the set of ids
+    Automaton wins, and choice[v], at each Automaton id v in won, its
+    winning move.  The region does not depend on the numbering; the
+    choices break ties in id order (see in_str_order).
 
     Each sink moves to the gadget of its owner, one self-loop per owner
     that has sinks, which loses for that owner and gets the next id from
@@ -294,13 +276,38 @@ def automaton_wins(succ, owner, color, sinks):
                 owner.append(o)
                 color.append(1 - o)
             succ[v] = (g,)
-        won = set(_solve_ids(succ, owner, color)[0][0])
+        won, choice = _solve_ids(succ, owner, color)
     finally:
         for v in sinks:
             succ[v] = ()
         del succ[n:], owner[n:], color[n:]
+    won = set(won[0])
     won.difference_update(gadget.values())
-    return won
+    del choice[n:]
+    return won, choice
+
+
+def in_str_order(succ, owner, color, sinks, names):
+    """The int arena renumbered in str order of names, names[v] naming id
+    v, as solve interns: ((succ, owner, color, sinks), names, rank), with
+    the names in their new order and rank[v] the new id of v.
+
+    If every sink is Automaton's, automaton_wins on the result gives
+    Automaton the choices solve gives it on the named arena, though solve
+    interleaves a gadget per sink and automaton_wins appends one: an
+    Automaton sink's gadget has color 1 and only its self-loop, so no
+    Automaton attractor holds it, and ids that none holds do not change
+    the order in which the others are attracted.
+    """
+    order = sorted(range(len(names)), key=list(map(str, names)).__getitem__)
+    rank = [0] * len(order)
+    for i, v in enumerate(order):
+        rank[v] = i
+    new = rank.__getitem__
+    return (([tuple(map(new, succ[v])) for v in order],
+             bytearray(map(owner.__getitem__, order)),
+             list(map(color.__getitem__, order)), sorted(map(new, sinks))),
+            list(map(names.__getitem__, order)), rank)
 
 
 def solve(arena):
@@ -316,10 +323,12 @@ def solve(arena):
     owner = bytearray([o == PATHFINDER for o in map(arena.owner.get, verts)])
     color = list(map(arena.color.get, verts))
     lost = bytearray(n)         # the sink gadgets
-    for g, v in gadgets.items():
-        i = ids[g]
-        _close_sink(succ, owner, color, ids[v], i)
-        lost[i] = 1
+    for name, v in gadgets.items():
+        g, v = ids[name], ids[v]
+        # g is a self-loop that loses for v's owner, and v's one move
+        owner[g], color[g] = owner[v], 1 - owner[v]
+        succ[g] = succ[v] = (g,)
+        lost[g] = 1
     won, choice = _solve_ids(succ, owner, color)
     region, strategy = {}, {}
     for p, player in enumerate((AUTOMATON, PATHFINDER)):

@@ -140,10 +140,14 @@ def _product_arena(a, t, name, given=None):
     """
     (succ, owner, color, sinks), names = _product_ids(a, t, given)
     names = names()
+    label = names.__getitem__
     inits = names[:len(a.initials)]
-    init = inits[0] if len(inits) == 1 else None
-    return (ParityGameArena.relabelled(name, succ, owner, color, sinks,
-                                       names, init), inits)
+    player = (AUTOMATON, PATHFINDER).__getitem__
+    return (ParityGameArena(
+        name, dict(zip(names, map(player, owner))), dict(zip(names, color)),
+        {v: tuple(map(label, ws)) for v, ws in zip(names, succ)},
+        frozenset(map(label, sinks)), inits[0] if len(inits) == 1 else None),
+        inits)
 
 
 @dataclass
@@ -171,7 +175,7 @@ def member(a, t):
     every initial state: t is accepted iff Automaton wins from one of
     them."""
     arena, _ = _product_ids(a, t)
-    won = automaton_wins(*arena)
+    won, _ = automaton_wins(*arena)
     return any(i in won for i in range(len(a.initials)))
 
 

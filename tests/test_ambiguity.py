@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treeamb.ambiguity import (INFINITE, UNCOUNTABLE, AmbiguityVerdict,
-                               _emptiness_game, _emptiness_ids,
+                               _emptiness_ids,
                                _k_distinct_arena, _k_distinct_walk,
                                at_least_k, classify,
                                emptiness,
@@ -432,6 +432,13 @@ def test_tampered_witness_is_rejected():
     assert not witness_is_valid(free2, t, same_runs)
     broken_spine = type(w)(w.mode, w.vertex, w.spine[:1], w.runs)
     assert not witness_is_valid(free2, t, broken_spine)
+    # names that are no product vertex, as the vertex or inside the spine
+    stranger = ("nowhere", "q")
+    elsewhere = type(w)(w.mode, stranger, w.spine, w.runs)
+    assert not witness_is_valid(free2, t, elsewhere)
+    detour = type(w)(w.mode, w.vertex,
+                     w.spine[:1] + (stranger,) + w.spine[1:], w.runs)
+    assert not witness_is_valid(free2, t, detour)
     # accepting, distinct runs of another automaton on another tree
     co = zoo.zoo_complement_singleton(T_C)
     spread = graft_antichain(T_C, T_A1, lstar_r_antichain())
@@ -559,30 +566,35 @@ def test_int_emptiness_game_relabels_to_the_structural_arena():
         succ, owner, color, sinks, names = _emptiness_ids(a)
         assert names[:len(a.states)] == [("q", q) for q in
                                          sorted(a.states, key=str)]
-        arena = _emptiness_game(a)
-        assert arena == structural_emptiness_game(a)
-        assert arena.check() is arena
-        assert [arena.edges[v] for v in names] == [
+        g = structural_emptiness_game(a)
+        assert g.check() is g
+        assert len(set(names)) == len(names) and set(names) == g.owner.keys()
+        assert [g.owner[v] for v in names] == [(AUTOMATON, PATHFINDER)[o]
+                                               for o in owner]
+        assert [g.color[v] for v in names] == color
+        assert [g.edges[v] for v in names] == [
             tuple(names[j] for j in ws) for ws in succ]
+        assert frozenset(names[i] for i in sinks) == g.sinks
 
 
 def test_verdict_arenas_come_back_from_automaton_wins_unchanged(monkeypatch):
-    """The int arenas of _product_ids, _emptiness_arena and
+    """The int arenas of _product_ids, _emptiness_ids and
     _k_distinct_arena are solved as built and left as they were; the
-    emptiness arenas give each state one move per distinct pair."""
-    sinks_seen = {"_product_ids": set(), "_emptiness_arena": set(),
+    emptiness arenas give each state one move per distinct pair or
+    transition."""
+    sinks_seen = {"_product_ids": set(), "_emptiness_ids": set(),
                   "_k_distinct_arena": set()}
     made_by = []
 
     def checked(succ, owner, color, sinks):
         before = [list(succ), bytearray(owner), list(color), list(sinks)]
-        won = automaton_wins(succ, owner, color, sinks)
+        result = automaton_wins(succ, owner, color, sinks)
         assert [succ, owner, color, sinks] == before
         if made_by[-1] != "_product_ids":
             assert all(len(set(ws)) == len(ws)
                        for ws, o in zip(succ, owner) if not o)
         sinks_seen[made_by[-1]].add(bool(sinks))
-        return won
+        return result
 
     monkeypatch.setattr(membership, "automaton_wins", checked)
     monkeypatch.setattr(ambiguity, "automaton_wins", checked)
@@ -591,7 +603,7 @@ def test_verdict_arenas_come_back_from_automaton_wins_unchanged(monkeypatch):
         member(a, t)
     cases = _emptiness_cases() + _k_amb_cases()
     for a in cases:
-        made_by.append("_emptiness_arena")
+        made_by.append("_emptiness_ids")
         nonempty_states(a)
         made_by.append("_k_distinct_arena")
         is_k_ambiguous(a, 1)

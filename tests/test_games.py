@@ -8,9 +8,9 @@ from test_membership import random_pta, random_tree
 from treeamb.ambiguity import _RunCounts
 from treeamb.errors import IncompleteStrategy, MalformedArena
 from treeamb.games import (AUTOMATON, PATHFINDER, ParityGameArena,
-                           automaton_wins, bfs, cycle_tops, solve,
-                           solve_oracle, strongly_connected_components,
-                           verify_strategy)
+                           automaton_wins, bfs, cycle_tops, in_str_order,
+                           solve, solve_oracle,
+                           strongly_connected_components, verify_strategy)
 
 
 def arena(owner, color, edges, sinks=(), name="g", init=None):
@@ -344,15 +344,52 @@ def test_automaton_wins_matches_solve_in_any_numbering():
         order = sorted(g.owner)
         rng.shuffle(order)
         arena = int_form(g, order)
-        won = automaton_wins(*arena)
+        won, choice = automaton_wins(*arena)
         assert {order[i] for i in won} == solve(g).region[AUTOMATON]
+        assert len(choice) == len(order)
         assert int_form(g, order) == arena      # untouched
+
+
+def test_in_str_order_gives_automaton_the_choices_of_solve():
+    """With only Automaton sinks, automaton_wins on the str-order
+    renumbering returns solve's Automaton region and strategy; on the
+    build order the strategy differs on some arenas."""
+    rng = random.Random(20261019)
+    differs = 0
+    for _ in range(2000):
+        names = rng.sample(range(40), rng.randint(1, 9))  # "10" < "9"
+        owner = {v: rng.choice((AUTOMATON, PATHFINDER)) for v in names}
+        color = {v: rng.randrange(5) for v in names}
+        edges, sinks = {}, []
+        for v in names:
+            if owner[v] == AUTOMATON and rng.random() < 0.15:
+                edges[v] = ()
+                sinks.append(v)
+            else:   # parallel edges allowed
+                edges[v] = [rng.choice(names)
+                            for _ in range(rng.randint(1, 3))]
+        g = arena(owner, color, edges, sinks)
+        an = solve(g)
+        built = int_form(g, names)
+        renumbered, ordered, rank = in_str_order(*built, names)
+        assert ordered == sorted(names, key=str)
+        assert [ordered[i] for i in rank] == names
+        won, choice = automaton_wins(*renumbered)
+        assert {ordered[v] for v in won} == an.region[AUTOMATON]
+        assert {ordered[v]: ordered[choice[v]] for v in won
+                if not renumbered[1][v]} == an.strategy[AUTOMATON]
+        won, choice = automaton_wins(*built)
+        differs += {names[v]: names[choice[v]] for v in won
+                    if not built[1][v]} != an.strategy[AUTOMATON]
+    assert differs > 20
 
 
 def test_malformed_int_arenas_rejected():
     ok = ([(1,), ()], bytearray([0, 1]), [2, 1], [1])
-    assert automaton_wins(*ok) == {0, 1}     # Pathfinder's sink 1 loses
-    assert automaton_wins(*ok[:3], [1, 1]) == {0, 1}    # a sink listed twice
+    # Pathfinder's sink 1 loses; a sink may be listed twice
+    for sinks in ([1], [1, 1]):
+        won, choice = automaton_wins(*ok[:3], sinks)
+        assert won == {0, 1} and choice[0] == 1 and len(choice) == 2
     for succ, owner, color, sinks in [
             ([()], bytearray([0]), [0], []),      # no move, not a sink
             ([(0,)], bytearray([0]), [0], [0]),   # sink with a move
@@ -370,7 +407,7 @@ def test_automaton_wins_counts_parallel_edges():
     # Pathfinder's 0 has two moves, both to 1, which Automaton wins on its
     # color-2 loop; 0 is attracted only if both edges count
     succ, owner, color = [(1, 1), (1,)], bytearray([1, 0]), [1, 2]
-    assert automaton_wins(succ, owner, color, []) == {0, 1}
+    assert automaton_wins(succ, owner, color, [])[0] == {0, 1}
     g = arena({0: PATHFINDER, 1: AUTOMATON}, {0: 1, 1: 2},
               {0: (1, 1), 1: (1,)})
     assert solve(g).region[AUTOMATON] == {0, 1}
