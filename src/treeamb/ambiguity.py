@@ -83,7 +83,8 @@ def _emptiness_ids(a):
 
 def emptiness(a):
     """A regular tree accepted by a, or None when the language is empty."""
-    arena, names, _ = in_str_order(*_emptiness_ids(a))
+    *arena, names = _emptiness_ids(a)
+    arena, names, _ = in_str_order(*arena, names, list(map(str, names)))
     won, choice = automaton_wins(*arena)
     ids = dict(zip(names, range(len(names))))
     # repr splits initials whose str agrees (1 and "1")
@@ -300,8 +301,8 @@ class _RunCounts:
     def __init__(self, a, t):
         self.automaton = a
         self.tree = t
-        arena, names = _product_ids(a, t)
-        arena, self.names, rank = in_str_order(*arena, names())
+        arena, names, keys = _product_ids(a, t)
+        arena, self.names, rank = in_str_order(*arena, names(), keys())
         won, self.strategy = automaton_wins(*arena)
         edges, owner, self.color, _ = arena
         self.edges = edges
@@ -342,8 +343,9 @@ class _RunCounts:
         """The reach set in search order: by tree state, then by automaton
         state's str and repr (repr splits states that print alike)."""
         names = self.names
-        return sorted(self.reach, key=lambda u: (
-            names[u][0], str(names[u][1]), repr(names[u][1])))
+        qkey = {q: (str(q), repr(q)) for q in self.automaton.states}
+        return sorted(self.reach,
+                      key=lambda u: (names[u][0], qkey[names[u][1]]))
 
     def regeneration_vertices(self):
         """Reachable vertices that are cyclic and branching, in search order."""
@@ -515,11 +517,15 @@ def _residual_runs(counts, vertex):
     dirs = ["l" if edges[strat[u]][0] == w else "r"
             for u, w in zip(path, path[1:])]
 
+    wmoves = counts.wmoves
+
     def step(s, d, i):
         v, j = s
-        kids = counts.wmoves[v][i] if j == last else edges[strat[v]]
-        on_path = j is not None and j < last and dirs[j] == d
-        return kids[0 if d == "l" else 1], (j + 1 if on_path else None)
+        k = 0 if d == "l" else 1
+        if j is None:
+            return edges[strat[v]][k], None
+        kids = wmoves[v][i] if j == last else edges[strat[v]]
+        return kids[k], (j + 1 if j < last and dirs[j] == d else None)
 
     sub = _subtree(t, m)
     aq = restrict_initials(a, frozenset([q]))

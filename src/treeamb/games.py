@@ -287,10 +287,12 @@ def automaton_wins(succ, owner, color, sinks):
     return won, choice
 
 
-def in_str_order(succ, owner, color, sinks, names):
+def in_str_order(succ, owner, color, sinks, names, keys):
     """The int arena renumbered in str order of names, names[v] naming id
     v, as solve interns: ((succ, owner, color, sinks), names, rank), with
-    the names in their new order and rank[v] the new id of v.
+    the names in their new order and rank[v] the new id of v.  keys[v]
+    must be str(names[v]); a caller that builds the names can compose
+    those strings more cheaply than str can.
 
     If every sink is Automaton's, automaton_wins on the result gives
     Automaton the choices solve gives it on the named arena, though solve
@@ -299,7 +301,7 @@ def in_str_order(succ, owner, color, sinks, names):
     Automaton attractor holds it, and ids that none holds do not change
     the order in which the others are attracted.
     """
-    order = sorted(range(len(names)), key=list(map(str, names)).__getitem__)
+    order = sorted(range(len(names)), key=keys.__getitem__)
     rank = [0] * len(order)
     for i, v in enumerate(order):
         rank[v] = i
@@ -475,51 +477,49 @@ def strongly_connected_components(vertices, succ):
     """Tarjan, iterative.  succ maps a vertex to an iterable of successors.
 
     Roots are tried in the order of vertices, which fixes the order of the
-    components; membership is tested against a set built once."""
+    components.  Successors outside vertices are skipped as they come up,
+    membership tested against a set built once.  low holds exactly the
+    vertices on Tarjan's stack: an entry is deleted when its component
+    pops, so `w in low` is the on-stack test."""
     index = {}
     low = {}
-    on_stack = set()
     stack = []
     sccs = []
-    counter = [0]
     members = set(vertices)
     for root in vertices:
         if root in index:
             continue
-        work = [(root, iter([w for w in succ(root) if w in members]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+        index[root] = low[root] = len(index)
         stack.append(root)
-        on_stack.add(root)
+        work = [(root, iter(succ(root)))]
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
+                if w not in members:
+                    continue
                 if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
+                    index[w] = low[w] = len(index)
                     stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter([u for u in succ(w) if u in members])))
-                    advanced = True
+                    work.append((w, iter(succ(w))))
                     break
-                elif w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
+                if w in low and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                lv = low[v]
+                if work:
+                    pv = work[-1][0]
+                    if lv < low[pv]:
+                        low[pv] = lv
+                if lv == index[v]:
+                    comp = set()
+                    while True:
+                        w = stack.pop()
+                        del low[w]
+                        comp.add(w)
+                        if w == v:
+                            break
+                    sccs.append(comp)
     return sccs
 
 

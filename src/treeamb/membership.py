@@ -33,12 +33,14 @@ def _product_ids(a, t, given=None):
 
     Vertex i is numbered i when the breadth-first walk from the initial
     vertices first discovers it, the initial Automaton vertices (t.init, q)
-    first, q in str order.  Returns ((succ, owner, color, sinks), names)
-    with the int arena in the form of games.automaton_wins: (m, q) is
-    owned by Automaton (0) with color C(q), and (m, ql, qr) by Pathfinder
-    (1) with color 0; an Automaton vertex with no transition on the
-    node's label is a losing sink.  names() decodes the list of vertex
-    names.  A tree with a letter outside a's alphabet raises
+    first, q in str order.  Returns ((succ, owner, color, sinks), names,
+    keys) with the int arena in the form of games.automaton_wins: (m, q)
+    is owned by Automaton (0) with color C(q), and (m, ql, qr) by
+    Pathfinder (1) with color 0; an Automaton vertex with no transition on
+    the node's label is a losing sink.  names() decodes the list of vertex
+    names, and keys() lists their str, composed from one repr per tree
+    state and per automaton state (a tuple's str is its items' reprs
+    between parentheses).  A tree with a letter outside a's alphabet raises
     AlphabetMismatch naming given, the automaton as the caller was given
     it (a by default).
 
@@ -129,7 +131,21 @@ def _product_ids(a, t, given=None):
                 out.append((tstates[c // nq], states[c % nq]))
         return out
 
-    return (succ, owner, color, sinks), names
+    def keys():
+        rq = list(map(repr, states))
+        rm = [f"({m!r}, " for m in tstates]
+        out = []
+        for c, o in zip(codes, owner):
+            if o:
+                m, pair = divmod(c, nqq)
+                ql, qr = divmod(pair, nq)
+                out.append(f"{rm[m]}{rq[ql]}, {rq[qr]})")
+            else:
+                m, q = divmod(c, nq)
+                out.append(f"{rm[m]}{rq[q]})")
+        return out
+
+    return (succ, owner, color, sinks), names, keys
 
 
 def _product_arena(a, t, name, given=None):
@@ -138,7 +154,7 @@ def _product_arena(a, t, name, given=None):
     the arena and the list of initial Automaton vertices (one per initial
     state of a).
     """
-    (succ, owner, color, sinks), names = _product_ids(a, t, given)
+    (succ, owner, color, sinks), names, _ = _product_ids(a, t, given)
     names = names()
     label = names.__getitem__
     inits = names[:len(a.initials)]
@@ -174,7 +190,7 @@ def member(a, t):
     """Is t in the language of a?  Decided on the int product explored from
     every initial state: t is accepted iff Automaton wins from one of
     them."""
-    arena, _ = _product_ids(a, t)
+    arena, _, _ = _product_ids(a, t)
     won, _ = automaton_wins(*arena)
     return any(i in won for i in range(len(a.initials)))
 
@@ -209,14 +225,13 @@ def run_check(run):
         raise InconsistentRun(
             f"{run.name}: root state {mach.out[mach.init]!r} is not initial")
 
-    def succ(p):
+    mnext, tnext, mout = mach.next, t.next, mach.out
+    adj = {}        # reachable (run state, tree state) -> its two children
+    for p in bfs([(mach.init, t.init)], adj.__getitem__):
         r, m = p
-        return ((mach.next[(r, "l")], t.next[(m, "l")]),
-                (mach.next[(r, "r")], t.next[(m, "r")]))
-
-    for r, m in bfs([(mach.init, t.init)], succ):
-        trans = (mach.out[r], t.out[m],
-                 mach.out[mach.next[(r, "l")]], mach.out[mach.next[(r, "r")]])
+        rl, rr = mnext[(r, "l")], mnext[(r, "r")]
+        adj[p] = (rl, tnext[(m, "l")]), (rr, tnext[(m, "r")])
+        trans = (mout[r], t.out[m], mout[rl], mout[rr])
         if trans not in a.delta:
             raise InconsistentRun(
                 f"{run.name}: {trans!r} is not a transition of {a.name}")
@@ -232,13 +247,13 @@ def run_is_accepting(run):
     """
     run_check(run)
     a, mach = run.automaton, run.machine
-
-    def succ(s):
-        return (mach.next[(s, "l")], mach.next[(s, "r")])
-
-    reach = list(bfs([mach.init], succ))
-    colors = {s: a.color[mach.out[s]] for s in reach}
-    return all(c % 2 == 0 for _, c in cycle_tops(reach, succ, colors))
+    nxt = mach.next
+    adj = {}        # reachable machine state -> (l-child, r-child)
+    for s in bfs([mach.init], adj.__getitem__):
+        adj[s] = (nxt[(s, "l")], nxt[(s, "r")])
+    colors = {s: a.color[mach.out[s]] for s in adj}
+    return all(c % 2 == 0
+               for _, c in cycle_tops(adj, adj.__getitem__, colors))
 
 
 def automaton_strategy_to_run(g, analysis):

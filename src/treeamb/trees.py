@@ -56,10 +56,11 @@ class RegularTree:
     def check(self):
         """Raise if the machine is not total / refers to unknown states."""
         sts = set(self.out)
+        alphabet = set(self.alphabet)
         if self.init not in sts:
             raise UnknownState(f"initial state {self.init} undeclared")
         for s in sts:
-            if self.out[s] not in self.alphabet:
+            if self.out[s] not in alphabet:
                 raise AlphabetMismatch(
                     f"state {s} outputs {self.out[s]!r} outside the alphabet")
             for d in DIRS:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treeamb.ambiguity import (INFINITE, UNCOUNTABLE, AmbiguityVerdict,
-                               _emptiness_ids,
+                               _RunCounts, _emptiness_ids,
                                _k_distinct_arena, _k_distinct_walk,
                                at_least_k, classify,
                                emptiness,
@@ -27,8 +27,9 @@ from treeamb.trees import (constant_tree, graft_antichain, graft_node,
                            lstar_r_antichain, tree_equal)
 from treeamb import ambiguity, membership, zoo
 
-from test_membership import (multi_initial_cases, outputs_under_hash_seeds,
-                             random_pta, random_tree)
+from test_membership import (ESCAPED_STATES, mixed_names_pta,
+                             multi_initial_cases, outputs_under_hash_seeds,
+                             pta_over, random_pta, random_tree)
 
 ALPHA = ("c", "a1")
 T_C = constant_tree("c", ALPHA)
@@ -487,6 +488,24 @@ def test_certificate_vertex_ignores_the_hash_seed():
     # repr breaks the tie: "'(1, 0)'" sorts before "(1, 0)"
     assert outputs_under_hash_seeds(_ALIKE_VERTICES, ("0", "1")) == {
         "(0, '(1, 0)')\n" * 2}
+
+
+def test_search_order_sorts_states_by_str_then_repr():
+    # ties on (tree state, str) need the repr: 1 and "1", (0, 1) and
+    # "(0, 1)"
+    rng = random.Random(20261020)
+    ties = 0
+    for i in range(300):
+        a = (mixed_names_pta(rng) if i % 2
+             else pta_over(rng, rng.sample(ESCAPED_STATES, 5)))
+        t = random_tree(rng, ALPHA, rng.randint(1, 5))
+        counts = _RunCounts(a, t)
+        names = counts.names
+        assert counts.order == sorted(counts.reach, key=lambda u: (
+            names[u][0], str(names[u][1]), repr(names[u][1])))
+        printed = [(names[u][0], str(names[u][1])) for u in counts.reach]
+        ties += len(set(printed)) < len(printed)
+    assert ties > 5
 
 
 def test_random_witnesses_are_valid_and_some_fork_below_the_vertex():

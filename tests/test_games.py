@@ -241,6 +241,81 @@ def test_cycle_tops_matches_the_per_color_definition():
     assert nested > 50
 
 
+def reference_sccs(vertices, succ):
+    """Tarjan as strongly_connected_components ran it before it skipped
+    non-members lazily and tested the stack by low: a filtered successor
+    list per pushed vertex and a separate on-stack set."""
+    index = {}
+    low = {}
+    on_stack = set()
+    stack = []
+    sccs = []
+    counter = [0]
+    members = set(vertices)
+    for root in vertices:
+        if root in index:
+            continue
+        work = [(root, iter([w for w in succ(root) if w in members]))]
+        index[root] = low[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = counter[0]
+                    counter[0] += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter([u for u in succ(w) if u in members])))
+                    advanced = True
+                    break
+                elif w in on_stack:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                pv = work[-1][0]
+                low[pv] = min(low[pv], low[v])
+            if low[v] == index[v]:
+                comp = set()
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.add(w)
+                    if w == v:
+                        break
+                sccs.append(comp)
+    return sccs
+
+
+def test_sccs_match_the_reference_tarjan():
+    """Same components in the same order on seeded graphs over int, str
+    and tuple vertices (some printing alike), with successors outside the
+    set, self-loops and parallel edges."""
+    rng = random.Random(20261020)
+    pool = [0, 1, 2, 9, 10, "1", "a", "(0, 1)", (0, 1), (1, 0), (2,),
+            ("x", (1, "y")), "é"]
+    seen = {"outside": 0, "self-loop": 0, "parallel": 0, "big": 0}
+    for _ in range(1500):
+        names = rng.sample(pool, rng.randint(1, len(pool)))
+        inside = names[:rng.randint(1, len(names))]
+        succ = {v: [rng.choice(names) for _ in range(rng.randint(0, 4))]
+                for v in names}
+        got = strongly_connected_components(inside, succ.__getitem__)
+        assert got == reference_sccs(inside, succ.__getitem__)
+        seen["outside"] += any(w not in inside
+                               for v in inside for w in succ[v])
+        seen["self-loop"] += any(v in succ[v] for v in inside)
+        seen["parallel"] += any(len(set(succ[v])) < len(succ[v])
+                                for v in inside)
+        seen["big"] += any(len(c) > 2 for c in got)
+    assert min(seen.values()) > 200, seen
+
+
 def test_ties_break_in_str_order():
     # ids follow str order ("10" < "2"), so 10 is pulled toward vertex 1
     # before 2 is, and 0's first edge into the attractor is 0 -> 10
@@ -371,7 +446,8 @@ def test_in_str_order_gives_automaton_the_choices_of_solve():
         g = arena(owner, color, edges, sinks)
         an = solve(g)
         built = int_form(g, names)
-        renumbered, ordered, rank = in_str_order(*built, names)
+        renumbered, ordered, rank = in_str_order(*built, names,
+                                                 list(map(str, names)))
         assert ordered == sorted(names, key=str)
         assert [ordered[i] for i in rank] == names
         won, choice = automaton_wins(*renumbered)

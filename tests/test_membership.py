@@ -12,13 +12,14 @@ from treeamb import cli
 from treeamb.automata import ParityTreeAutomaton, det_pta_for_tree
 from treeamb.errors import (AlphabetMismatch, InconsistentRun, IsMember,
                             NotMember, PreconditionViolated, StateMismatch)
-from treeamb.games import (AUTOMATON, PATHFINDER, ParityGameArena, solve,
-                           verify_strategy)
+from treeamb.games import (AUTOMATON, PATHFINDER, ParityGameArena, bfs,
+                           cycle_tops, solve, verify_strategy)
 from treeamb.membership import (RegularRun, _product_arena, _product_ids,
                                 automaton_strategy_to_run, build_game, leads,
                                 member, pathfinder_strategy, run_check,
                                 run_graft, run_is_accepting)
-from treeamb.trees import build_tree, constant_tree, graft_node, tree_equal
+from treeamb.trees import (RegularTree, build_tree, constant_tree, graft_node,
+                           tree_equal)
 from treeamb.zoo import forbid_letter, zoo_exists_a1, zoo_neg_union
 
 ALPHA = ("c", "a1")
@@ -273,6 +274,99 @@ def test_run_check_rejects_non_transition():
         run_check(RegularRun(NOT_A1, T_A1, mach))
 
 
+def reference_run_check(run):
+    """run_check as it was before its walk filled one adjacency map: a
+    successor closure that looks up both children of a pair per call."""
+    a, t, mach = run.automaton, run.tree, run.machine
+    mach.check()
+    if mach.out[mach.init] not in a.initials:
+        raise InconsistentRun(
+            f"{run.name}: root state {mach.out[mach.init]!r} is not initial")
+
+    def succ(p):
+        r, m = p
+        return ((mach.next[(r, "l")], t.next[(m, "l")]),
+                (mach.next[(r, "r")], t.next[(m, "r")]))
+
+    for r, m in bfs([(mach.init, t.init)], succ):
+        trans = (mach.out[r], t.out[m],
+                 mach.out[mach.next[(r, "l")]], mach.out[mach.next[(r, "r")]])
+        if trans not in a.delta:
+            raise InconsistentRun(
+                f"{run.name}: {trans!r} is not a transition of {a.name}")
+    return run
+
+
+def reference_run_is_accepting(run):
+    """run_is_accepting as it was before it filled one adjacency map: a
+    successor closure that builds both (state, direction) keys per call."""
+    reference_run_check(run)
+    a, mach = run.automaton, run.machine
+
+    def succ(s):
+        return (mach.next[(s, "l")], mach.next[(s, "r")])
+
+    reach = list(bfs([mach.init], succ))
+    colors = {s: a.color[mach.out[s]] for s in reach}
+    return all(c % 2 == 0 for _, c in cycle_tops(reach, succ, colors))
+
+
+def random_run(rng):
+    """A random run machine on a random tree, over an automaton made of
+    the transitions the run reads; a third of the time some are dropped,
+    so that run_check fails on the first one its walk meets."""
+    states = rng.sample(["p", "q", 1, "1", (0, 1), "(0, 1)"], rng.randint(1, 6))
+    n = rng.randint(1, 8)
+    nxt = {(s, d): rng.randrange(n) for s in range(n) for d in "lr"}
+    out = {s: rng.choice(states) for s in range(n)}
+    mach = RegularTree("m", tuple(states), 0, nxt, out)
+    t = random_tree(rng, ALPHA, rng.randint(1, 4))
+
+    def succ(p):
+        r, m = p
+        return [(nxt[(r, d)], t.next[(m, d)]) for d in "lr"]
+
+    delta = {(out[r], t.out[m], out[nxt[(r, "l")]], out[nxt[(r, "r")]])
+             for r, m in bfs([(0, t.init)], succ)}
+    if rng.random() < 1 / 3:
+        gone = sorted(delta, key=repr)
+        delta -= set(rng.sample(gone, rng.randint(1, len(gone))))
+    a = ParityTreeAutomaton("read", ALPHA, frozenset(states),
+                            frozenset([out[0]]), frozenset(delta),
+                            {q: rng.randrange(4) for q in states}).check()
+    return RegularRun(a, t, mach)
+
+
+def test_run_is_accepting_agrees_with_the_reference():
+    """Same verdicts, and the same first missing transition in the same
+    message, as the reference run check."""
+    def verdict(check, run):
+        try:
+            return check(run)
+        except InconsistentRun as err:
+            return str(err)
+
+    rng = random.Random(20261020)
+    verdicts = []
+    for _ in range(1500):
+        run = random_run(rng)
+        verdicts.append(verdict(run_is_accepting, run))
+        assert verdicts[-1] == verdict(reference_run_is_accepting, run)
+    kinds = [v if isinstance(v, bool) else "inconsistent" for v in verdicts]
+    assert min(map(kinds.count, (True, False, "inconsistent"))) > 200
+
+
+def test_run_label_outside_its_alphabet_is_named():
+    # states 1 and 2 both output a label outside the machine's alphabet;
+    # the check reports the first in the order of set(out)
+    mach = RegularTree("m", ("ok",), 0,
+                       {(s, d): (s + 1) % 3 for s in range(3) for d in "lr"},
+                       {0: "ok", 1: "bad", 2: "worse"})
+    with pytest.raises(AlphabetMismatch) as err:
+        run_is_accepting(RegularRun(NOT_A1, T_C, mach))
+    assert str(err.value) == "state 1 outputs 'bad' outside the alphabet"
+
+
 # ---------------------------------------------------------- run_graft
 
 def test_graft_run_onto_itself_at_root():
@@ -433,8 +527,9 @@ def test_int_product_relabels_to_the_structural_arena():
     assert sum(len(a.initials) > 1 for a, _ in cases) >= 10
     with_sinks = 0
     for a, t in cases:
-        (succ, owner, color, sinks), names = _product_ids(a, t)
+        (succ, owner, color, sinks), names, keys = _product_ids(a, t)
         names = names()
+        assert keys() == list(map(str, names))
         with_sinks += bool(sinks)
         assert len(succ) == len(owner) == len(color) == len(names)
         assert len(set(names)) == len(names)
@@ -452,7 +547,18 @@ def mixed_names_pta(rng):
     """A random automaton whose states are ints, tuples and strs, where 1
     and "1", and (0, 1) and "(0, 1)", print alike.  A state's children on
     one letter mix kinds, so its transitions there need not compare."""
-    states = [1, 2, "1", "(0, 1)", "x", (0, 1), (1, 0)]
+    return pta_over(rng, [1, 2, "1", "(0, 1)", "x", (0, 1), (1, 0)])
+
+
+# states whose repr escapes a quote, a backslash or a control character,
+# or keeps a non-ASCII letter, and a tuple holding one
+ESCAPED_STATES = ["it's", 'say "hi"', "back\\slash", "é", "ü'\"\\",
+                  "tab\t", "'", '"', (0, "it's")]
+
+
+def pta_over(rng, states):
+    """A random automaton over the given states (at least three), with
+    one to three initial states."""
     delta = set()
     for x in ALPHA:
         for q in rng.sample(states, rng.randint(1, len(states))):
@@ -462,6 +568,16 @@ def mixed_names_pta(rng):
     return ParityTreeAutomaton(
         "mixed", ALPHA, frozenset(states), inits, frozenset(delta),
         {q: rng.randrange(4) for q in states}).check()
+
+
+def test_product_keys_are_the_str_of_the_names():
+    rng = random.Random(20261020)
+    for i in range(300):
+        a = (mixed_names_pta(rng) if i % 2
+             else pta_over(rng, rng.sample(ESCAPED_STATES, 5)))
+        t = random_tree(rng, ALPHA, rng.randint(1, 5))
+        _, names, keys = _product_ids(a, t)
+        assert keys() == list(map(str, names()))
 
 
 def test_member_keeps_states_apart_that_print_alike():
