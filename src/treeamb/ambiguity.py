@@ -32,7 +32,8 @@ from functools import cached_property
 from .automata import (ParityTreeAutomaton, conjunction_dpw_tuple,
                        restrict_initials)
 from .errors import InconsistentRun, NotMember
-from .games import automaton_wins, bfs, cycle_tops, in_str_order
+from .games import (automaton_wins, bfs, cycle_tops, in_str_order,
+                    name_key)
 from .membership import RegularRun, _product_ids, run_is_accepting
 from .trees import build_tree, tree_equal
 
@@ -87,8 +88,7 @@ def emptiness(a):
     arena, names, _ = in_str_order(*arena, names, list(map(str, names)))
     won, choice = automaton_wins(*arena)
     ids = dict(zip(names, range(len(names))))
-    # repr splits initials whose str agrees (1 and "1")
-    winners = [q for q in sorted(a.initials, key=lambda q: (str(q), repr(q)))
+    winners = [q for q in sorted(a.initials, key=name_key)
                if ids[("q", q)] in won]
     if not winners:
         return None
@@ -341,9 +341,9 @@ class _RunCounts:
     @cached_property
     def order(self):
         """The reach set in search order: by tree state, then by automaton
-        state's str and repr (repr splits states that print alike)."""
+        state's name_key."""
         names = self.names
-        qkey = {q: (str(q), repr(q)) for q in self.automaton.states}
+        qkey = {q: name_key(q) for q in self.automaton.states}
         return sorted(self.reach,
                       key=lambda u: (names[u][0], qkey[names[u][1]]))
 

@@ -192,18 +192,29 @@ def conjunction_dpw_tuple(domains):
 # --------------------------------------------------------------------------
 # Ambiguity-respecting constructions
 
+def _tagged(parts):
+    """The automata of parts ({tag: automaton}) side by side, each state q
+    of parts[tag] renamed (tag, q): (states, color, delta) as a set, a dict
+    and a set, for the caller to extend."""
+    states, color, delta = set(), {}, set()
+    for tag, a in parts.items():
+        states.update((tag, q) for q in a.states)
+        color.update({(tag, q): a.color[q] for q in a.states})
+        delta.update(((tag, q), x, (tag, l), (tag, r))
+                     for q, x, l, r in a.delta)
+    return states, color, delta
+
+
 def union(a1, a2):
     """Disjoint union: accepting runs are runs of either argument, so the
     count on any tree is the sum of the two counts."""
-    alphabet = _merge_alphabets(a1.alphabet, a2.alphabet)
-    states = frozenset((1, q) for q in a1.states) | frozenset((2, q) for q in a2.states)
-    initials = frozenset((1, q) for q in a1.initials) | frozenset((2, q) for q in a2.initials)
-    delta = frozenset(((1, q), a, (1, l), (1, r)) for q, a, l, r in a1.delta) | \
-        frozenset(((2, q), a, (2, l), (2, r)) for q, a, l, r in a2.delta)
-    color = {(1, q): a1.color[q] for q in a1.states}
-    color.update({(2, q): a2.color[q] for q in a2.states})
-    return ParityTreeAutomaton(f"({a1.name}|{a2.name})", alphabet, states,
-                               initials, delta, color).check()
+    parts = {1: a1, 2: a2}
+    states, color, delta = _tagged(parts)
+    initials = frozenset((tag, q) for tag, a in parts.items()
+                         for q in a.initials)
+    return ParityTreeAutomaton(
+        f"({a1.name}|{a2.name})", _merge_alphabets(a1.alphabet, a2.alphabet),
+        frozenset(states), initials, frozenset(delta), color).check()
 
 
 def restrict_initials(a, qs):

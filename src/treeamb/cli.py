@@ -99,11 +99,10 @@ def _cmd_empty(args):
 
 
 def _cmd_construct(args):
-    if args.op == "union":
-        a = union(_load(args.inputs[0], ".pta"), _load(args.inputs[1], ".pta"))
-    elif args.op == "intersect":
-        a = intersect(_load(args.inputs[0], ".pta"),
-                      _load(args.inputs[1], ".pta"))
+    binary = {"union": union, "intersect": intersect}
+    if args.op in binary:
+        a = binary[args.op](_load(args.inputs[0], ".pta"),
+                            _load(args.inputs[1], ".pta"))
     elif args.op == "single-init":
         a = single_initial(_load(args.inputs[0], ".pta"))
     elif args.op == "restrict":
@@ -136,16 +135,20 @@ def _cmd_construct(args):
 
 def _cmd_zoo(args):
     name = args.name
-    if name == "neg-union":
+    stock = {"exists-a1": zoo.zoo_exists_a1, "lfa": zoo.zoo_lfa,
+             "no-max": zoo.zoo_no_max, "perf": zoo.zoo_perf,
+             "x-subset-ydown": zoo.zoo_x_subset_ydown, "free2": zoo.zoo_free2}
+    reps = {"rep-single": zoo.niwinski_rep_single,
+            "rep-leaf-or-node": zoo.niwinski_rep_leaf_or_node,
+            "rep-combs": zoo.niwinski_rep_combs}
+    if name in stock:
+        a = stock[name]()
+    elif name == "neg-union":
         a = zoo.zoo_neg_union(args.k if args.k is not None else 2)
-    elif name == "exists-a1":
-        a = zoo.zoo_exists_a1()
     elif name == "complement-singleton":
         if not args.tree:
             raise ParseError(name, 0, "complement-singleton needs --tree")
         a = zoo.zoo_complement_singleton(_load(args.tree, ".mtree"))
-    elif name == "lfa":
-        a = zoo.zoo_lfa()
     elif name == "lfa-witness":
         if args.m is None:
             raise ParseError(name, 0, "lfa-witness needs --m")
@@ -158,18 +161,8 @@ def _cmd_zoo(args):
             raise ParseError(name, 0, "frak needs --a0 and --anb")
         a = zoo.zoo_frak_scheme(_load(args.a0, ".pta"),
                                 _load(args.anb, ".pta"))
-    elif name == "no-max":
-        a = zoo.zoo_no_max()
-    elif name == "perf":
-        a = zoo.zoo_perf()
-    elif name == "x-subset-ydown":
-        a = zoo.zoo_x_subset_ydown()
-    elif name == "free2":
-        a = zoo.zoo_free2()
-    elif name in ("rep-single", "rep-leaf-or-node", "rep-combs"):
-        rep = {"rep-single": zoo.niwinski_rep_single,
-               "rep-leaf-or-node": zoo.niwinski_rep_leaf_or_node,
-               "rep-combs": zoo.niwinski_rep_combs}[name]()
+    elif name in reps:
+        rep = reps[name]()
         if not args.out:
             raise ParseError(name, 0, "representations need -o <directory>")
         formats.save_rep(rep, args.out)

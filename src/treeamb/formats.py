@@ -15,7 +15,7 @@ import os
 
 from .automata import FiniteTreeAutomaton, ParityTreeAutomaton
 from .errors import ParseError, TreeambError
-from .games import AUTOMATON, PATHFINDER, ParityGameArena
+from .games import AUTOMATON, PATHFINDER, ParityGameArena, name_key
 from .membership import PathfinderStrategyTree, RegularRun, run_check
 from .trees import DIRS, MooreMachine, RegularAntichain, RegularTree
 from .zoo import NiwinskiRepresentation
@@ -23,7 +23,7 @@ from .zoo import NiwinskiRepresentation
 
 def token_map(items):
     """Canonical printable name for each item (see module docstring)."""
-    items = sorted(items, key=lambda x: (str(x), repr(x)))
+    items = sorted(items, key=name_key)
     toks = [str(x) for x in items]
     if len(set(toks)) == len(toks) and all(t.split() == [t] for t in toks):
         return {x: str(x) for x in items}

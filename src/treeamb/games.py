@@ -13,7 +13,7 @@ replaces the recursion, so a deep color hierarchy needs no interpreter
 recursion.  Ties break in id order.
 
 solve() is the front end for named arenas: it interns the vertices and
-sink gadgets of a ParityGameArena in str order, so its regions and
+sink gadgets of a ParityGameArena in name_key order, so its regions and
 strategies do not depend on how the arena was built, and maps both back.
 automaton_wins() checks an int arena (succ, owner, color, sinks), closes
 its sinks with one gadget per owner appended after it, runs the same
@@ -62,6 +62,12 @@ class ParityGameArena:
         if self.init is not None and self.init not in self.owner:
             raise MalformedArena(f"initial vertex {self.init!r} undeclared")
         return self
+
+
+def name_key(x):
+    """Sort key for vertex and state names: str order, with repr breaking
+    ties between names that print alike (1 and "1", (0, 1) and "(0, 1)")."""
+    return str(x), repr(x)
 
 
 @dataclass
@@ -292,7 +298,9 @@ def in_str_order(succ, owner, color, sinks, names, keys):
     v, as solve interns: ((succ, owner, color, sinks), names, rank), with
     the names in their new order and rank[v] the new id of v.  keys[v]
     must be str(names[v]); a caller that builds the names can compose
-    those strings more cheaply than str can.
+    those strings more cheaply than str can.  Where no two names print
+    alike, as with product names, whose str shows their items' reprs,
+    this is solve's name_key order.
 
     If every sink is Automaton's, automaton_wins on the result gives
     Automaton the choices solve gives it on the named arena, though solve
@@ -314,10 +322,10 @@ def in_str_order(succ, owner, color, sinks, names, keys):
 
 def solve(arena):
     """Winning regions and positional strategies, by attractor decomposition
-    on the vertices and sink gadgets interned in str order."""
+    on the vertices and sink gadgets interned in name_key order."""
     arena.check()
     gadgets = {("__lost__", v): v for v in arena.sinks}
-    verts = sorted(arena.owner.keys() | gadgets.keys(), key=str)
+    verts = sorted(arena.owner.keys() | gadgets.keys(), key=name_key)
     n = len(verts)
     ids = dict(zip(verts, range(n)))
     edges = arena.edges.get

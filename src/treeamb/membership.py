@@ -23,7 +23,7 @@ from .automata import single_initial
 from .errors import (AlphabetMismatch, IncompleteStrategy, InconsistentRun,
                      IsMember, NotMember, PreconditionViolated, StateMismatch)
 from .games import (AUTOMATON, PATHFINDER, ParityGameArena, automaton_wins,
-                    bfs, cycle_tops, solve)
+                    bfs, cycle_tops, name_key, solve)
 from .trees import (RegularTree, build_tree, check_path, graft_node,
                     tree_equal)
 
@@ -274,8 +274,7 @@ def automaton_strategy_to_run(g, analysis):
     if g.automaton is not a:
         # the funnel state copied some initial state's transition; recover it
         _, ql, qr = strat[root]
-        root_out = next(q for q in sorted(a.initials,
-                                          key=lambda q: (str(q), repr(q)))
+        root_out = next(q for q in sorted(a.initials, key=name_key)
                         if (q, t.out[t.init], ql, qr) in a.delta)
 
     def succ(v, d):

@@ -8,7 +8,7 @@ so structural equality of the underlying graphs is meaningful but semantic
 equality should always go through tree_equal.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import AlphabetMismatch, AntichainViolation, UnknownState
 from .games import bfs
@@ -106,33 +106,10 @@ def subtree_at(t, v):
 
 
 def graft_node(t1, t2, v):
-    """t1 with the subtree at node v replaced by t2.
-
-    Product of t1's machine with the path trie of v: states track how much of
-    v has been matched, fall off into plain t1 when the node diverges from v,
-    and hand over to t2 permanently once v is reached.
-    """
-    check_path(v)
-    alphabet = _merge_alphabets(t1.alphabet, t2.alphabet)
-
-    def succ(s, d):
-        tag = s[0]
-        if tag == "in":
-            return ("in", t2.next[(s[1], d)])
-        if tag == "off":
-            return ("off", t1.next[(s[1], d)])
-        i, m = s[1], s[2]
-        if v[i] != d:
-            return ("off", t1.next[(m, d)])
-        if i + 1 == len(v):
-            return ("in", t2.init)
-        return ("path", i + 1, t1.next[(m, d)])
-
-    def out(s):
-        return t2.out[s[1]] if s[0] == "in" else t1.out[s[-1]]
-
-    init = ("in", t2.init) if v == "" else ("path", 0, t1.init)
-    return build_tree(init, succ, out, alphabet, f"{t1.name}[{t2.name}/{v}]")
+    """t1 with the subtree at node v replaced by t2: the graft of t2 along
+    the one-node antichain {v}."""
+    return replace(graft_antichain(t1, t2, singleton_antichain(v)),
+                   name=f"{t1.name}[{t2.name}/{v}]")
 
 
 def graft_antichain(t1, t2, y):

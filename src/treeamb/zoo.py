@@ -2,13 +2,13 @@
 
 Everything here is a plain constructor; the interesting structure lives in
 the transition tables.  Components embedded into larger automata get their
-states wrapped in a tag ("c", "a1", "nb", ...) so that state sets stay
-disjoint without renaming gymnastics.
+states wrapped in a tag ("c", "a1", "nb", ...) by automata._tagged, so
+that state sets stay disjoint without renaming gymnastics.
 """
 
 from dataclasses import dataclass
 
-from .automata import (FiniteTreeAutomaton, ParityTreeAutomaton,
+from .automata import (FiniteTreeAutomaton, ParityTreeAutomaton, _tagged,
                        det_pta_for_tree, fta_is_unambiguous, union)
 from .errors import AlphabetMismatch, AmbiguousRepresentation
 from .trees import (_merge_alphabets, build_tree, constant_tree, graft_node,
@@ -105,14 +105,9 @@ def zoo_lfa():
     ta1 = constant_tree("a1", LFA_ALPHABET)
     comp = {"c": det_pta_for_tree(tc), "a1": det_pta_for_tree(ta1),
             "nb": zoo_neg_union(2)}
-    states = {"q1", "q2"}
-    delta = set()
-    color = {"q1": 1, "q2": 1}
-    for tag, a in comp.items():
-        states.update((tag, q) for q in a.states)
-        color.update({(tag, q): a.color[q] for q in a.states})
-        delta.update(((tag, q), x, (tag, ql), (tag, qr))
-                     for q, x, ql, qr in a.delta)
+    states, color, delta = _tagged(comp)
+    states.update(("q1", "q2"))
+    color.update(q1=1, q2=1)
     delta.update(("q1", "c", "q1", ("c", p)) for p in comp["c"].initials)
     delta.update(("q1", "c", "q2", ("nb", p)) for p in comp["nb"].initials)
     delta.update(("q2", "c", "q2", ("c", p)) for p in comp["c"].initials)
@@ -154,15 +149,9 @@ def zoo_frak_scheme(a0, anb):
             f"scheme parts read {a0.alphabet} vs {anb.alphabet}")
     if "c" not in a0.alphabet:
         raise AlphabetMismatch("the scheme spine needs the letter c")
-    comp = {"a0": a0, "anb": anb}
-    states = {"hit", "low"}
-    color = {"hit": 2, "low": 1}
-    delta = set()
-    for tag, a in comp.items():
-        states.update((tag, q) for q in a.states)
-        color.update({(tag, q): a.color[q] for q in a.states})
-        delta.update(((tag, q), x, (tag, ql), (tag, qr))
-                     for q, x, ql, qr in a.delta)
+    states, color, delta = _tagged({"a0": a0, "anb": anb})
+    states.update(("hit", "low"))
+    color.update(hit=2, low=1)
     for z in ("hit", "low"):
         delta.update((z, "c", "hit", ("anb", p)) for p in anb.initials)
         delta.update((z, "c", "low", ("anb", p)) for p in anb.initials)
@@ -320,13 +309,7 @@ def niwinski_unambiguous(rep):
     leaves = {}
     for q, x in rep.fta.delta0:
         leaves.setdefault(q, []).append(x)
-    states = set()
-    delta = set()
-    color = {}
-    for x, d in dets.items():
-        states.update((x, s) for s in d.states)
-        color.update({(x, s): d.color[s] for s in d.states})
-        delta.update(((x, q), a, (x, ql), (x, qr)) for q, a, ql, qr in d.delta)
+    states, color, delta = _tagged(dets)
     for q, a, q1, q2 in rep.fta.delta2:
         states.update([("B", q), ("B", q1), ("B", q2)])
         delta.add((("B", q), a, ("B", q1), ("B", q2)))

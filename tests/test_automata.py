@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
+from test_membership import mixed_names_pta, random_pta
 from treeamb.automata import (FiniteTreeAutomaton, ParityTreeAutomaton,
                               color_identity_dpw, conjunction_dpw,
                               conjunction_dpw_tuple,
@@ -11,6 +13,7 @@ from treeamb.automata import (FiniteTreeAutomaton, ParityTreeAutomaton,
                               fta_is_unambiguous, intersect, moore_reduction,
                               restrict_initials, single_initial, union)
 from treeamb.errors import AlphabetMismatch, UnknownState
+from treeamb.formats import serialize_pta
 from treeamb.trees import build_tree, constant_tree, last_letter_machine
 
 
@@ -244,3 +247,21 @@ def test_fta_enumerate_accepted():
     assert trees == [("c", "x", "x"),
                      ("c", ("c", "x", "x"), "x"),
                      ("c", ("c", ("c", "x", "x"), "x"), "x")]
+
+
+def test_union_bytes_are_pinned():
+    # sha256 of serialize_pta over 300 seeded unions: random automata over
+    # one or two alphabets, and automata whose states print alike
+    rng = random.Random(20261019)
+    digest = hashlib.sha256()
+    for i in range(300):
+        if i % 3 == 2:
+            a1, a2 = mixed_names_pta(rng), mixed_names_pta(rng)
+        else:
+            a1 = random_pta(rng, ("a", "b"), rng.randint(1, 5),
+                            rng.randint(0, 6), 3)
+            a2 = random_pta(rng, ("b", "c") if i % 3 else ("a", "b"),
+                            rng.randint(1, 5), rng.randint(0, 6), 3)
+        digest.update(serialize_pta(union(a1, a2)).encode())
+    assert digest.hexdigest() == (
+        "ba85d4cefb6f340e5798c27b9aff3746b3967cf0c7e916976188da859a413509")

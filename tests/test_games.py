@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from test_membership import random_pta, random_tree
+from test_membership import outputs_under_hash_seeds, random_pta, random_tree
 from treeamb.ambiguity import _RunCounts
 from treeamb.errors import IncompleteStrategy, MalformedArena
 from treeamb.games import (AUTOMATON, PATHFINDER, ParityGameArena,
@@ -487,3 +487,30 @@ def test_automaton_wins_counts_parallel_edges():
     g = arena({0: PATHFINDER, 1: AUTOMATON}, {0: 1, 1: 2},
               {0: (1, 1), 1: (1,)})
     assert solve(g).region[AUTOMATON] == {0, 1}
+
+
+# 1 and "1", 2 and "2", (0, 1) and "(0, 1)" print alike; interned in str
+# order alone, they kept set order, and Automaton's move at 1 was 2 under
+# PYTHONHASHSEED=0 and "1" under 24
+_ALIKE_ARENA = """
+from treeamb.games import ParityGameArena, solve
+A, P = "A", "P"
+owner = {"1": A, 1: A, "(0, 1)": A, "2": A, 2: P, (0, 1): A}
+color = {"1": 0, 1: 0, "(0, 1)": 1, "2": 1, 2: 2, (0, 1): 0}
+edges = {"1": (2, 1, (0, 1)), 1: ("1", "(0, 1)", "2", 2, (0, 1), 1),
+         "(0, 1)": ("(0, 1)", (0, 1), "2"), "2": ("(0, 1)",),
+         2: (2, "2", 1), (0, 1): (2, "(0, 1)", 1, "1", (0, 1), "2")}
+an = solve(ParityGameArena("alike", owner, color, edges, frozenset()))
+for p in (A, P):
+    print(p, sorted(map(repr, an.region[p])),
+          sorted((repr(v), repr(w)) for v, w in an.strategy[p].items()))
+"""
+
+
+def test_solve_on_names_that_print_alike_is_pinned():
+    # Automaton wins everything; its moves, as reprs
+    region = ["'(0, 1)'", "'1'", "'2'", "(0, 1)", "1", "2"]
+    moves = [("'(0, 1)'", "(0, 1)"), ("'1'", "2"), ("'2'", "'(0, 1)'"),
+             ("(0, 1)", "2"), ("1", "'1'")]
+    assert outputs_under_hash_seeds(_ALIKE_ARENA, ("0", "5", "24")) == {
+        f"A {region} {moves}\nP [] []\n"}

@@ -1,9 +1,12 @@
 """Stock automata: structure and membership samples."""
 
+import hashlib
+
 import pytest
 
 from treeamb.automata import det_pta_for_tree, fta_is_unambiguous
 from treeamb.errors import AlphabetMismatch, AmbiguousRepresentation
+from treeamb.formats import serialize_pta
 from treeamb.membership import member
 from treeamb.trees import (build_tree, constant_tree, graft_antichain,
                            graft_node, lstar_r_antichain, make_node,
@@ -242,3 +245,47 @@ def test_representation_missing_substitution():
 def test_forbid_letter_guard():
     with pytest.raises(AlphabetMismatch):
         zoo.forbid_letter("b", ("c", "a1"))
+
+
+# ------------------------------------------------------- pinned bytes
+
+def _tagged_zoo():
+    """The zoo automata that embed tagged components, by name."""
+    co = zoo.zoo_complement_singleton(T_C2)
+    made = {f"neg-union-{k}": zoo.zoo_neg_union(k) for k in (2, 3, 4)}
+    made["lfa"] = zoo.zoo_lfa()
+    made["frak"] = zoo.zoo_frak_scheme(det_pta_for_tree(T_C2), co)
+    made["frak-co-co"] = zoo.zoo_frak_scheme(co, co)
+    for rep in (zoo.niwinski_rep_single(), zoo.niwinski_rep_leaf_or_node(),
+                zoo.niwinski_rep_combs()):
+        made[f"unamb-{rep.name}"] = zoo.niwinski_unambiguous(rep)
+    return made
+
+
+# sha256 of serialize_pta of each automaton of _tagged_zoo()
+TAGGED_ZOO_SHA256 = {
+    "frak":
+        "6d0327f5d5a15d0f65524b023d46b996161463d4ee180dd459dd400829fd41c0",
+    "frak-co-co":
+        "500bbb6116bc03a32bd1763dc23543c760924a7f83533748e0f90777d53c7afe",
+    "lfa":
+        "71cd556b874dbc39e49b13acca4f5100a399369ac3549bdc0457b0904f39d78e",
+    "neg-union-2":
+        "7ec4c6409560fa60dd6f01dc939226fc7b853351a6d25ea097d3499ab1c30df9",
+    "neg-union-3":
+        "8054a2a3cb679f9caf320be461f50fef2ab4af9615a4cdf941999eb9f313b645",
+    "neg-union-4":
+        "035582b1f1dc347593fcd319b11b601f4a0cdf5cceac002a5b2f90e7b6168d78",
+    "unamb-leaf-or-node":
+        "9900d9172b6e7794ac53f772b50b1b2224bec29795ec6f0927f5d0bc93569fba",
+    "unamb-left-combs":
+        "d8ebcd279433c421edd62ad630aa078b43b017d6006243df5d92eb111f35d8cc",
+    "unamb-single":
+        "c8e56f650d0a2aea99f5d6f664b7aa6691b95062c910253a01b806c323449c92",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAGGED_ZOO_SHA256))
+def test_tagged_zoo_bytes_are_pinned(name):
+    text = serialize_pta(_tagged_zoo()[name])
+    assert hashlib.sha256(text.encode()).hexdigest() == TAGGED_ZOO_SHA256[name]
