@@ -296,6 +296,11 @@ class _RunCounts:
     pairs and succ to their children, sorted; roots are the winning
     initial vertices; reach is the set reachable from the roots through
     winning moves (= vertices occurring in accepting runs).
+
+    Both certificates sit on branching vertices, and every vertex of a
+    cycle through a branching vertex reaches it, so is branching too:
+    comps and order, which the searches read, cover branching vertices
+    only.
     """
 
     def __init__(self, a, t):
@@ -315,53 +320,62 @@ class _RunCounts:
         self.succ = {v: sorted({c for m in ms for c in m})
                      for v, ms in self.wmoves.items()}
         self.reach = set(bfs(self.roots, self.succ.__getitem__))
-        self._counts = {}      # cap -> {vertex: saturated N(vertex)}
+
+    @cached_property
+    def forks(self):
+        """Winning vertices with two or more winning moves."""
+        return {v for v, ms in self.wmoves.items() if len(ms) >= 2}
 
     @cached_property
     def branching(self):
-        """Vertices at or above a genuine choice, i.e. reaching a vertex
-        with two winning moves; one backward walk from those."""
+        """Vertices at or above a genuine choice, i.e. reaching a fork; one
+        backward walk from the forks."""
         pred = {}
         for v, cs in self.succ.items():
             for c in cs:
                 pred.setdefault(c, []).append(v)
-        forks = [v for v, ms in self.wmoves.items() if len(ms) >= 2]
-        return set(bfs(forks, lambda v: pred.get(v, ())))
+        return set(bfs(self.forks, lambda v: pred.get(v, ())))
 
     @cached_property
-    def tops(self):
-        """games.cycle_tops of the winning move graph, as a list."""
-        return list(cycle_tops(self.succ, self.succ.__getitem__, self.color))
+    def comps(self):
+        """Each branching vertex on a cycle of winning moves, mapped to the
+        (S, c) that games.cycle_tops yields holding it, outermost first.
 
-    @cached_property
-    def cyclic(self):
-        """Vertices lying on a cycle of the winning move graph."""
-        return {v for comp, _ in self.tops for v in comp}
+        The decomposition runs on the branching vertices alone: the
+        strongly connected component of one, and each level nested in it,
+        is then the same set as over the whole winning region."""
+        comps = {}
+        for S, c in cycle_tops(self.branching, self.succ.__getitem__,
+                               self.color):
+            for v in S:
+                comps.setdefault(v, []).append((S, c))
+        return comps
 
     @cached_property
     def order(self):
-        """The reach set in search order: by tree state, then by automaton
+        """The reachable branching vertices, the only candidates for either
+        certificate, in search order: by tree state, then by automaton
         state's name_key."""
         names = self.names
         qkey = {q: name_key(q) for q in self.automaton.states}
-        return sorted(self.reach,
+        return sorted(self.reach & self.branching,
                       key=lambda u: (names[u][0], qkey[names[u][1]]))
 
     def regeneration_vertices(self):
         """Reachable vertices that are cyclic and branching, in search order."""
-        return [v for v in self.order
-                if v in self.branching and v in self.cyclic]
+        return [v for v in self.order if v in self.comps]
 
-    def count(self, v, cap=None):
-        """N(v), exactly or saturated at cap.
+    def total(self, cap):
+        """Number of accepting runs on the whole tree saturated at cap, 0
+        when not member: N(v) per vertex, children multiplied and moves
+        added.
 
         Only sound once regeneration_vertices() is empty: branching
         vertices then form a DAG and the worklist below terminates.
         """
-        br = self.branching
-        memo = self._counts.setdefault(cap, {})
-        expanding = set()
-        stack = [(v, False)]
+        br, wmoves, succ = self.branching, self.wmoves, self.succ
+        memo, expanding = {}, set()
+        stack = [(v, False) for v in self.roots]
         while stack:
             u, ready = stack.pop()
             if u in memo:
@@ -371,13 +385,13 @@ class _RunCounts:
                 continue
             if ready:
                 expanding.discard(u)
-                total = 0
-                for cl, cr in self.wmoves[u]:
-                    total += memo[cl] * memo[cr]
-                    if cap is not None and total >= cap:
-                        total = cap
+                n = 0
+                for cl, cr in wmoves[u]:
+                    n += memo[cl] * memo[cr]
+                    if n >= cap:
+                        n = cap
                         break
-                memo[u] = total
+                memo[u] = n
             else:
                 if u in expanding:
                     raise AssertionError(
@@ -385,17 +399,8 @@ class _RunCounts:
                         "certificate should have fired first")
                 expanding.add(u)
                 stack.append((u, True))
-                stack += [(c, False) for c in self.succ[u] if c not in memo]
-        return memo[v]
-
-    def total(self, cap=None):
-        """Number of accepting runs on the whole tree (0 when not member)."""
-        total = 0
-        for v in self.roots:
-            total += self.count(v, cap)
-            if cap is not None and total >= cap:
-                return cap
-        return total
+                stack += [(c, False) for c in succ[u] if c not in memo]
+        return min(sum(memo[v] for v in self.roots), cap)
 
 
 def at_least_k(a, t, k):
@@ -511,8 +516,7 @@ def _residual_runs(counts, vertex):
     a, t = counts.automaton, counts.tree
     strat, edges, names = counts.strategy, counts.edges, counts.names
     m, q = names[vertex]
-    forks = {u for u, ms in counts.wmoves.items() if len(ms) >= 2}
-    path = _shortest_path(counts.succ.__getitem__, [vertex], forks)
+    path = _shortest_path(counts.succ.__getitem__, [vertex], counts.forks)
     last = len(path) - 1
     dirs = ["l" if edges[strat[u]][0] == w else "r"
             for u, w in zip(path, path[1:])]
@@ -538,61 +542,44 @@ def _residual_runs(counts, vertex):
         for i in (0, 1))
 
 
-def _uncountable_cycle(counts):
-    """The first (vertex, spine) of an uncountable certificate, or None.
-
-    The candidates are the components S of counts.tops with an even top
-    color c: cyclic components of the winning moves on vertices of color
-    at most c, each with a vertex of color c (its tops).  A vertex v of S
-    qualifies when two of its winning moves re-enter S, or one does beside
-    a branching sibling; v's components are tried lowest c first.  Its
-    spine is a cycle inside S through a top, which exists as S is strongly
-    connected and holds a cycle."""
-    comps_of = {}       # vertex -> its even-topped components, outer first
-    for S, c in counts.tops:
-        if c % 2 == 0:
-            for v in S:
-                comps_of.setdefault(v, []).append((S, c))
-    color, branching = counts.color, counts.branching
-    for v in counts.order:
-        for S, c in reversed(comps_of.get(v, ())):
-            twin = sum(1 for cl, cr in counts.wmoves[v]
-                       if cl in S or cr in S) >= 2
-            side = any((cl in S and cr in branching) or
-                       (cr in S and cl in branching)
-                       for cl, cr in counts.wmoves[v])
-            if twin or side:
-                tops = {u for u in S if color[u] == c}
-                return v, _cycle_through(counts, v, S, tops)
-    return None
-
-
 def _find_witness(counts, mode):
     """The first certificate of the mode, re-checked by _witness_ok; None
     when there is none.
 
-    An infinite certificate sits at the first regeneration vertex: it is
-    cyclic, so a cycle of winning moves runs through it."""
-    found = None
-    if mode == INFINITE:
-        regen = counts.regeneration_vertices()
-        if regen:
-            v = regen[0]
-            found = v, _cycle_through(counts, v, counts.succ, {v})
-    elif mode == UNCOUNTABLE:
-        found = _uncountable_cycle(counts)
-    else:
+    One loop tries the vertices of counts.order and, innermost first, the
+    components S of counts.comps that hold them, c being S's top color.
+    An infinite certificate sits at the first vertex with a component, a
+    regeneration vertex: its spine is a cycle back to it through
+    branching vertices.  An uncountable one needs an even c and a vertex
+    two of whose winning moves re-enter S, or one does beside a branching
+    sibling (S is branching, so the move's children both are).  Its spine
+    is a cycle inside S through a vertex of color c, which exists as S is
+    strongly connected and holds a cycle."""
+    if mode not in (INFINITE, UNCOUNTABLE):
         raise ValueError(f"unknown witness mode {mode!r}")
-    if found is None:
-        return None
-    v, spine = found
-    names = counts.names
-    witness = RegenerationWitness(mode, names[v],
-                                  tuple(map(names.__getitem__, spine)),
-                                  _residual_runs(counts, v))
-    if not _witness_ok(counts, witness):
-        raise AssertionError("internal witness failed its validity checks")
-    return witness
+    color, branching, names = counts.color, counts.branching, counts.names
+    for v in counts.order:
+        for S, c in reversed(counts.comps.get(v, ())):
+            if mode == INFINITE:
+                within, via = branching, {v}
+            elif c % 2:
+                continue
+            else:
+                moves = [(l, r) for l, r in counts.wmoves[v]
+                         if l in S or r in S]
+                if len(moves) < 2 and not any(
+                        l in branching and r in branching for l, r in moves):
+                    continue
+                within, via = S, {u for u in S if color[u] == c}
+            spine = _cycle_through(counts, v, within, via)
+            witness = RegenerationWitness(
+                mode, names[v], tuple(map(names.__getitem__, spine)),
+                _residual_runs(counts, v))
+            if not _witness_ok(counts, witness):
+                raise AssertionError(
+                    "internal witness failed its validity checks")
+            return witness
+    return None
 
 
 def find_regeneration_witness(a, t, mode):

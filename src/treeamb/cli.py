@@ -100,6 +100,12 @@ def _cmd_empty(args):
 
 def _cmd_construct(args):
     binary = {"union": union, "intersect": intersect}
+    arity = {"union": 2, "intersect": 2, "reduce": 2, "graft": 2,
+             "single-init": 1}
+    n, got = arity.get(args.op), len(args.inputs)
+    if n is not None and got != n:
+        raise ParseError(args.op, 0, f"{args.op} needs exactly {n} "
+                         f"input{'s' if n > 1 else ''}, got {got}")
     if args.op in binary:
         a = binary[args.op](_load(args.inputs[0], ".pta"),
                             _load(args.inputs[1], ".pta"))

@@ -21,7 +21,7 @@ from treeamb.automata import (ParityTreeAutomaton, det_pta_for_tree,
 from treeamb.errors import NotMember
 from treeamb.formats import serialize_pta, verdict_to_json
 from treeamb.games import (AUTOMATON, PATHFINDER, ParityGameArena,
-                           automaton_wins, solve)
+                           automaton_wins, cycle_tops, solve)
 from treeamb.membership import member, run_is_accepting
 from treeamb.trees import (constant_tree, graft_antichain, graft_node,
                            lstar_r_antichain, tree_equal)
@@ -387,6 +387,68 @@ def test_classify_adds_over_union():
         done += 1
 
 
+def law_tree(rng):
+    """A random tree of 1-3 states, or a c-spine (or a random tree) with a
+    random tree hung at every l*r node."""
+    r = rng.randrange(3)
+    if r == 0:
+        return random_tree(rng, ALPHA, rng.randint(1, 3))
+    base = T_C if r == 1 else random_tree(rng, ALPHA, 2)
+    return graft_antichain(base, random_tree(rng, ALPHA, rng.randint(1, 2)),
+                           lstar_r_antichain())
+
+
+def law_part(rng, t):
+    """An automaton over ALPHA from a family that reaches every verdict
+    kind on law_tree's trees: random, complement-singleton (Infinite on
+    the grafts), a frak scheme (Uncountable), or 1-4 copies of the
+    deterministic automaton for t (AtLeast past 2) or for another tree."""
+    r = rng.randrange(6)
+    if r == 0:
+        return random_pta(rng, ALPHA, rng.randint(1, 3), rng.randint(1, 4),
+                          rng.randint(0, 3))
+    t0 = random_tree(rng, ALPHA, rng.randint(1, 2))
+    if r in (1, 5):
+        return zoo.zoo_complement_singleton(t0)
+    if r == 2:
+        return zoo.zoo_frak_scheme(det_pta_for_tree(t0, alphabet=ALPHA),
+                                   zoo.zoo_complement_singleton(t0))
+    d = out = det_pta_for_tree(t if r == 3 else t0, alphabet=ALPHA)
+    for _ in range(rng.randint(0, 3)):
+        out = union(out, d)
+    return out
+
+
+def test_classify_verdicts_obey_the_union_and_intersect_laws():
+    # union adds run counts and intersect multiplies them, so with K fixed
+    # the composite's verdict follows from its parts': Uncountable before
+    # Infinite before the sum or product, capped at AtLeast(K+1), and
+    # Exact(0) first for intersect.  Sums and products past 2 need the
+    # larger K to show
+    rng = random.Random(1)
+    kinds = collections.Counter()
+    for i in range(1200):
+        K = rng.choice((2, 8))
+        t = law_tree(rng)
+        a, b = law_part(rng, t), law_part(rng, t)
+        op = (union, intersect)[i % 2]
+        v, w = classify(a, t, K), classify(b, t, K)
+        got = classify(op(a, b), t, K)
+        kinds[op, got.kind] += 1
+        if op is intersect and 0 in (v.n, w.n):
+            assert got == AmbiguityVerdict.exact(0)
+        elif UNCOUNTABLE in (v.kind, w.kind):
+            assert got.kind == UNCOUNTABLE
+        elif INFINITE in (v.kind, w.kind):
+            assert got.kind == INFINITE
+        else:
+            n = v.n + w.n if op is union else v.n * w.n
+            assert got == (AmbiguityVerdict.at_least(K + 1) if n > K
+                           else AmbiguityVerdict.exact(n))
+    assert min(kinds[op, kind] for op in (union, intersect)
+               for kind in ("exact", "at_least", INFINITE, UNCOUNTABLE)) >= 30
+
+
 # ------------------------------------------------------------- witnesses
 
 def test_witness_none_on_deterministic():
@@ -501,11 +563,39 @@ def test_search_order_sorts_states_by_str_then_repr():
         t = random_tree(rng, ALPHA, rng.randint(1, 5))
         counts = _RunCounts(a, t)
         names = counts.names
-        assert counts.order == sorted(counts.reach, key=lambda u: (
-            names[u][0], str(names[u][1]), repr(names[u][1])))
-        printed = [(names[u][0], str(names[u][1])) for u in counts.reach]
+        assert counts.order == sorted(
+            counts.reach & counts.branching, key=lambda u: (
+                names[u][0], str(names[u][1]), repr(names[u][1])))
+        printed = [(names[u][0], str(names[u][1])) for u in counts.order]
         ties += len(set(printed)) < len(printed)
     assert ties > 5
+
+
+def test_branching_components_match_the_full_decomposition():
+    # comps runs cycle_tops on the branching vertices alone; a cycle
+    # through a branching vertex stays among them, so every reachable
+    # branching vertex sits in the same components, level by level, as
+    # when cycle_tops runs over the whole winning region
+    rng = random.Random(20261019)
+    on_cycle = nested = 0
+    for i in range(300):
+        if i % 3 == 0:
+            a, t = mixed_names_pta(rng), random_tree(rng, ALPHA,
+                                                     rng.randint(1, 5))
+        else:
+            t = law_tree(rng)
+            a = law_part(rng, t)
+        counts = _RunCounts(a, t)
+        full = {}
+        for S, c in cycle_tops(counts.succ, counts.succ.__getitem__,
+                               counts.color):
+            for v in S:
+                full.setdefault(v, []).append((S, c))
+        for v in counts.reach & counts.branching:
+            assert counts.comps.get(v, []) == full.get(v, [])
+            on_cycle += v in full
+            nested += len(full.get(v, ())) > 1
+    assert on_cycle > 50 and nested > 10
 
 
 def test_random_witnesses_are_valid_and_some_fork_below_the_vertex():

@@ -146,6 +146,26 @@ def test_construct_graft_at_node_and_antichain(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("op, inputs", [
+    ("union", ["negunion2.pta"]),
+    ("intersect", ["negunion2.pta"]),
+    ("reduce", ["negunion2.pta"]),
+    ("graft", ["t0.mtree"]),
+    ("union", ["negunion2.pta"] * 3),
+    ("single-init", ["negunion2.pta"] * 2),
+])
+def test_construct_needs_its_exact_number_of_inputs(capsys, tmp_path, op,
+                                                    inputs):
+    out = tmp_path / "out"
+    assert run(["construct", op] + [data(f) for f in inputs] +
+               ["--at", "-", "-o", str(out)] * (op == "graft")) == 2
+    n = 1 if op == "single-init" else 2
+    assert capsys.readouterr().err == (
+        f"{op}:0: {op} needs exactly {n} input{'s' * (n > 1)}, "
+        f"got {len(inputs)}\n")
+    assert not out.exists()
+
+
 def test_construct_reduce(capsys, tmp_path):
     a2 = tmp_path / "a2.pta"
     a2.write_text("pta overout\nalphabet c a1\nstate u color=0\ninit u\n"
