@@ -329,7 +329,9 @@ class _RunCounts:
     @cached_property
     def branching(self):
         """Vertices at or above a genuine choice, i.e. reaching a fork; one
-        backward walk from the forks."""
+        backward walk from the forks, skipped when there is none."""
+        if not self.forks:
+            return set()
         pred = {}
         for v, cs in self.succ.items():
             for c in cs:

@@ -309,9 +309,11 @@ def _build_parser():
     return p
 
 
+_PARSER = _build_parser()
+
+
 def run(argv):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as e:

@@ -21,12 +21,12 @@ core and returns Automaton's region and choices, the choices breaking
 ties in id order.  After in_str_order() they are solve's choices
 whenever every sink is Automaton's.
 
-solve_oracle() recomputes both regions with progress measures on the
-original vertices and exists purely as an independent cross-check.
+solve_oracle() recomputes both regions with small progress measures on
+the arena closed by a losing self-loop per sink, shares no code with the
+Zielonka core, and exists purely as an independent cross-check.
 """
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import IncompleteStrategy, MalformedArena
@@ -94,16 +94,6 @@ def _completed(arena):
         edges[g] = (g,)
         edges[v] = (g,)
     return owner, color, edges, gadgets
-
-
-def _preds(vertices, edges):
-    # iterate in a fixed order so strategy tie-breaking is reproducible
-    p = {v: [] for v in vertices}
-    for v in sorted(vertices, key=str):
-        for w in edges[v]:
-            if w in vertices:
-                p[w].append(v)
-    return p
 
 
 def _attract(seeds, player, succ, pred, owner, alive, choice):
@@ -363,80 +353,59 @@ def _project(arena, gadgets, regions, strats):
 # --------------------------------------------------------------------------
 # Progress-measure solver (independent oracle)
 
-_TOP = "TOP"
-
-
-def _spm_one_side(vertices, edges, owner, color, player):
+def _spm_one_side(edges, owner, color, player):
     """Vertices from which `player` wins when colors of their parity are good.
 
-    Standard lifting of small progress measures; written for the player who
-    wants the maximal recurring color to be even, so the Pathfinder side is
-    handled by the caller via a color shift.
+    Standard lifting of small progress measures on a closed arena, every
+    vertex with a move; written for the player who wants the maximal
+    recurring color to be even, so the Pathfinder side is handled by the
+    caller via a color shift.  A measure is a tuple with one counter per
+    odd color, highest color first, and top = (len(edges) + 1,) compares
+    above every one of them.  Lifting reaches the least fixed point in any
+    order, so the worklist is a plain stack that may hold a vertex twice;
+    the strategy takes the first successor, in edge order, with the least
+    measure.
     """
-    odd = sorted({color[v] for v in vertices if color[v] % 2 == 1}, reverse=True)
-    cap = {p: sum(1 for v in vertices if color[v] == p) for p in odd}
-    zero = tuple(0 for _ in odd)
-    idx = {p: i for i, p in enumerate(odd)}
+    colors = list(color.values())
+    odd = sorted({c for c in colors if c % 2}, reverse=True)
+    cap = [colors.count(p) for p in odd]
+    keep = {c: sum(p >= c for p in odd) for c in set(colors)}
+    top = (len(edges) + 1,)
 
-    def prog(mw, p):
-        if mw == _TOP:
-            return _TOP
-        # keep components for odd priorities >= p, zero the rest
-        upto = -1
-        for i, q in enumerate(odd):
-            if q >= p:
-                upto = i
-        pref = list(mw[:upto + 1])
-        if p % 2 == 0:
-            return tuple(pref) + zero[upto + 1:]
-        i = idx[p]
-        while i >= 0:
-            if pref[i] < cap[odd[i]]:
-                pref[i] += 1
-                return tuple(pref) + zero[upto + 1:]
-            pref[i] = 0
-            i -= 1
-        return _TOP
+    def prog(m, c):
+        """m as a vertex of color c needs it: the counters of the odd colors
+        >= c kept and the rest zeroed, then at an odd c one more, counted
+        like an odometer whose digit i runs up to cap[i] and that
+        overflows to top."""
+        if m == top:
+            return top
+        k = keep[c]
+        m = list(m[:k]) + [0] * (len(odd) - k)
+        if c % 2 == 0:
+            return tuple(m)
+        for i in range(k - 1, -1, -1):
+            if m[i] < cap[i]:
+                m[i] += 1
+                return tuple(m)
+            m[i] = 0
+        return top
 
-    def less(a, b):
-        if b == _TOP:
-            return a != _TOP
-        if a == _TOP:
-            return False
-        return a < b
-
-    rho = {v: zero for v in vertices}
-    preds = _preds(vertices, edges)
-    queue = deque(sorted(vertices, key=str))
-    queued = set(vertices)
-    while queue:
-        v = queue.popleft()
-        queued.discard(v)
-        vals = [prog(rho[w], color[v]) for w in edges[v] if w in vertices]
-        if owner[v] == player:
-            new = min(vals, key=lambda m: (m == _TOP, m if m != _TOP else ()))
-        else:
-            new = _TOP if _TOP in vals else max(vals)
-        if less(rho[v], new):
+    rho = dict.fromkeys(edges, (0,) * len(odd))
+    preds = {v: [] for v in edges}
+    for v, ws in edges.items():
+        for w in ws:
+            preds[w].append(v)
+    work = list(edges)
+    while work:
+        v = work.pop()
+        vals = [prog(rho[w], color[v]) for w in edges[v]]
+        new = min(vals) if owner[v] == player else max(vals)
+        if rho[v] < new:
             rho[v] = new
-            for u in preds[v]:
-                if u not in queued:
-                    queue.append(u)
-                    queued.add(u)
-    win = {v for v in vertices if rho[v] != _TOP}
-    strat = {}
-    for v in win:
-        if owner[v] == player:
-            best, best_w = None, None
-            for w in edges[v]:
-                if w not in vertices:
-                    continue
-                m = prog(rho[w], color[v])
-                if m == _TOP:
-                    continue
-                if best is None or m < best:
-                    best, best_w = m, w
-            strat[v] = best_w
+            work += preds[v]
+    win = {v for v in edges if rho[v] != top}
+    strat = {v: min(edges[v], key=lambda w: prog(rho[w], color[v]))
+             for v in win if owner[v] == player}
     return win, strat
 
 
@@ -444,11 +413,10 @@ def solve_oracle(arena):
     """Same contract as solve, computed with progress measures twice over."""
     arena.check()
     owner, color, edges, gadgets = _completed(arena)
-    vertices = set(owner)
-    win_a, strat_a = _spm_one_side(vertices, edges, owner, color, AUTOMATON)
+    win_a, strat_a = _spm_one_side(edges, owner, color, AUTOMATON)
     shifted = {v: c + 1 for v, c in color.items()}
-    win_p, strat_p = _spm_one_side(vertices, edges, owner, shifted, PATHFINDER)
-    if win_a | win_p != vertices or win_a & win_p:
+    win_p, strat_p = _spm_one_side(edges, owner, shifted, PATHFINDER)
+    if win_a | win_p != edges.keys() or win_a & win_p:
         raise MalformedArena("progress measure passes do not partition the arena")
     return _project(arena, gadgets,
                     {AUTOMATON: win_a, PATHFINDER: win_p},

@@ -17,14 +17,14 @@ from treeamb.ambiguity import (INFINITE, UNCOUNTABLE, AmbiguityVerdict,
                                k_distinct_runs_automaton, is_k_ambiguous,
                                nonempty_states, witness_is_valid)
 from treeamb.automata import (ParityTreeAutomaton, det_pta_for_tree,
-                              intersect, trim_useful, union)
+                              intersect, moore_reduction, trim_useful, union)
 from treeamb.errors import NotMember
 from treeamb.formats import serialize_pta, verdict_to_json
 from treeamb.games import (AUTOMATON, PATHFINDER, ParityGameArena,
                            automaton_wins, cycle_tops, solve)
 from treeamb.membership import member, run_is_accepting
-from treeamb.trees import (constant_tree, graft_antichain, graft_node,
-                           lstar_r_antichain, tree_equal)
+from treeamb.trees import (MooreMachine, constant_tree, graft_antichain,
+                           graft_node, lstar_r_antichain, relabel, tree_equal)
 from treeamb import ambiguity, membership, zoo
 
 from test_membership import (ESCAPED_STATES, mixed_names_pta,
@@ -447,6 +447,31 @@ def test_classify_verdicts_obey_the_union_and_intersect_laws():
                            else AmbiguityVerdict.exact(n))
     assert min(kinds[op, kind] for op in (union, intersect)
                for kind in ("exact", "at_least", INFINITE, UNCOUNTABLE)) >= 30
+
+
+def test_classify_verdicts_obey_the_moore_reduction_law():
+    # moore_reduction(a, M)'s runs on t are a's runs on relabel(M, t), one
+    # for one, so both classify alike; the witnesses differ in their names
+    rng = random.Random(2)
+    xy = ("x", "y")
+    kinds = collections.Counter()
+    for i in range(600):
+        a = random_pta(rng, xy, rng.randint(1, 3), rng.randint(1, 4),
+                       rng.randint(0, 3))
+        if i % 3 == 0:
+            a = union(a, random_pta(rng, xy, rng.randint(1, 2),
+                                    rng.randint(1, 3), rng.randint(0, 3)))
+        ms = tuple(range(rng.randint(1, 3)))
+        m = MooreMachine("m", ALPHA, xy, ms, 0,
+                         {(s, x): rng.choice(ms) for s in ms for x in ALPHA},
+                         {s: rng.choice(xy) for s in ms}).check()
+        t = random_tree(rng, ALPHA, rng.randint(1, 3))
+        got = classify(moore_reduction(a, m), t, 6)
+        want = classify(a, relabel(m, t), 6)
+        assert (got.kind, got.n) == (want.kind, want.n)
+        kinds["Exact(0)" if got.n == 0 else got.kind] += 1
+    assert min(kinds["Exact(0)"], kinds["exact"], kinds[UNCOUNTABLE]) >= 30, \
+        kinds
 
 
 # ------------------------------------------------------------- witnesses

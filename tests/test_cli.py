@@ -83,6 +83,10 @@ def test_classify_plain_and_json(capsys):
     doc = json.loads(out_of(capsys))
     assert doc["verdict"] == "uncountable"
     assert doc["witness"]["runs"][0].startswith("run of=")
+    # every call parses with the same parser; no option outlives its call
+    assert run(["classify", "-a", data("free2.pta"),
+                "-t", data("tc.mtree")]) == 0
+    assert out_of(capsys) == "Uncountable"
 
 
 def test_ambiguous_exit_codes(capsys):

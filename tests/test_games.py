@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import sys
@@ -514,3 +515,48 @@ def test_solve_on_names_that_print_alike_is_pinned():
              ("(0, 1)", "2"), ("1", "'1'")]
     assert outputs_under_hash_seeds(_ALIKE_ARENA, ("0", "5", "24")) == {
         f"A {region} {moves}\nP [] []\n"}
+
+
+def _oracle_arenas():
+    """Every arena of at most 2 vertices with colors {0,1,2}, then 1,500
+    seeded random ones of at most 9 vertices, colors up to 5 and some
+    sinks, named by a mix of ints and strs that print alike."""
+    for n in (1, 2):
+        subsets = [s for k in range(n + 1)
+                   for s in itertools.combinations(range(n), k)]
+        for owners in itertools.product((AUTOMATON, PATHFINDER), repeat=n):
+            for colors in itertools.product((0, 1, 2), repeat=n):
+                for succ in itertools.product(subsets, repeat=n):
+                    yield arena(dict(enumerate(owners)),
+                                dict(enumerate(colors)),
+                                dict(enumerate(succ)),
+                                sinks=[v for v in range(n) if not succ[v]])
+    rng = random.Random(20261020)
+    pool = list(range(9)) + [str(i) for i in range(9)] + ["v1", "v2"]
+    for _ in range(1500):
+        names = rng.sample(pool, rng.randint(1, 9))
+        owner = {v: rng.choice((AUTOMATON, PATHFINDER)) for v in names}
+        color = {v: rng.randrange(6) for v in names}
+        edges = {v: () if rng.random() < 0.1 else
+                 tuple(rng.choice(names) for _ in range(rng.randint(1, 3)))
+                 for v in names}
+        yield arena(owner, color, edges,
+                    sinks=[v for v in names if not edges[v]])
+
+
+def test_solve_oracle_outputs_are_pinned():
+    # the progress-measure oracle's regions and strategies, as sorted
+    # reprs, on 2,088 arenas: a rewrite of the oracle keeps both, down to
+    # its ties (the first successor in edge order with the least measure)
+    digest = hashlib.sha256()
+    count = 0
+    for g in _oracle_arenas():
+        ora = solve_oracle(g)
+        for p in (AUTOMATON, PATHFINDER):
+            digest.update(repr((sorted(map(repr, ora.region[p])),
+                                sorted((repr(v), repr(w)) for v, w in
+                                       ora.strategy[p].items()))).encode())
+        count += 1
+    assert count == 2088
+    assert digest.hexdigest() == (
+        "c0a85d0500eff7396780677036b05c8c2f0d3911b6d63deaaaf3da3f2f3cc026")
