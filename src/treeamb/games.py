@@ -6,20 +6,22 @@ A declared sink loses for its owner.
 
 One Zielonka core, _solve_ids(), runs the attractor decomposition on an
 int arena: dense ids 0..n-1 with successor tuples, a 0/1 owner bytearray
-(Automaton/Pathfinder) and colors, every id with a move.  It derives the
-predecessor lists the attractors walk from the successors itself.  One
-liveness bytearray marks the current subgame, and an explicit frame stack
-replaces the recursion, so a deep color hierarchy needs no interpreter
-recursion.  Ties break in id order.
+(Automaton/Pathfinder) and colors.  It derives the predecessor lists the
+attractors walk from the successors itself.  One liveness bytearray marks
+the current subgame, and an explicit frame stack replaces the recursion,
+so a deep color hierarchy needs no interpreter recursion.  Ties break in
+id order.  Each owner's sinks, ids without a move, are handed to the
+other player with one attractor before the decomposition.
 
 solve() is the front end for named arenas: it interns the vertices and
 sink gadgets of a ParityGameArena in name_key order, so its regions and
-strategies do not depend on how the arena was built, and maps both back.
-automaton_wins() checks an int arena (succ, owner, color, sinks), closes
-its sinks with one gadget per owner appended after it, runs the same
-core and returns Automaton's region and choices, the choices breaking
-ties in id order.  After in_str_order() they are solve's choices
-whenever every sink is Automaton's.
+strategies do not depend on how the arena was built, and maps both back;
+its gadgets keep its strategies' tie-breaks, which attracting the sinks
+first would change.  automaton_wins() checks an int arena (succ, owner,
+color, sinks), solves it with the sinks attracted first and returns
+Automaton's region and choices, the choices breaking ties in id order.
+After in_str_order() they are solve's choices whenever every sink is
+Automaton's.
 
 solve_oracle() recomputes both regions with small progress measures on
 the arena closed by a losing self-loop per sink, shares no code with the
@@ -136,9 +138,10 @@ def _attract(seeds, player, succ, pred, owner, alive, choice):
     return attr
 
 
-def _zielonka(vertices, succ, pred, owner, color, choice):
-    """Winning vertex lists (Automaton's, Pathfinder's); vertices are all
-    the arena's ids.
+def _zielonka(vertices, succ, pred, owner, color, choice, alive):
+    """Winning vertex lists (Automaton's, Pathfinder's) of the subgame on
+    vertices: the ids v with alive[v] == 1, each with a live move; every
+    other id has alive[v] == 0.
 
     The second recursive call of the decomposition is a tail call and runs
     as the loop over a frame's shrinking vertex list; the first runs on an
@@ -149,7 +152,6 @@ def _zielonka(vertices, succ, pred, owner, color, choice):
     move whenever v lies in its owner's region: a move chosen in a subgame
     whose result is discarded is chosen again when v is solved again.
     """
-    alive = bytearray(b"\x01") * len(succ)
     stack = []
     won = ([], [])
     while True:
@@ -194,16 +196,20 @@ def _zielonka(vertices, succ, pred, owner, color, choice):
         vertices += [v for v in sub[sigma] if alive[v]]
 
 
-def _solve_ids(succ, owner, color):
-    """Zielonka on an int arena whose every id has a move.
+def _solve_ids(succ, owner, color, sinks=()):
+    """Zielonka on an int arena whose ids without a move are the sinks
+    listed, each losing for its owner.
 
     The predecessor lists are rebuilt from succ, ids visited in increasing
     order: pred[w] lists each v with an edge v -> w once per edge, so a
     parallel edge counts twice in the attractors' degree counts.
+    Pathfinder wins its attractor of Automaton's sinks, then Automaton its
+    attractor of Pathfinder's sinks among the ids left, and _zielonka
+    solves the rest, where every id keeps a move.
 
     Returns (won, choice): won holds Automaton's and Pathfinder's winning
     id lists, and choice[v] is v's strategy move when v lies in its
-    owner's region.
+    owner's region and is no sink.
     """
     nums = list(range(len(succ)))   # one int object per id, in every list
     pred = [[] for _ in nums]
@@ -211,7 +217,16 @@ def _solve_ids(succ, owner, color):
         for w in ws:
             pred[w].append(v)
     choice = [None] * len(nums)
-    return _zielonka(nums, succ, pred, owner, color, choice), choice
+    alive = bytearray(b"\x01") * len(nums)
+    attracted = [None, None]    # the sinks' attractors, by their winner
+    for p in (1, 0):
+        seeds = sorted({nums[v] for v in sinks if owner[v] != p})
+        attracted[p] = _attract(seeds, p, succ, pred, owner, alive, choice)
+        for v in attracted[p]:
+            alive[v] = 0
+    won = _zielonka([v for v in nums if alive[v]] if sinks else nums,
+                    succ, pred, owner, color, choice, alive)
+    return (won[0] + attracted[0], won[1] + attracted[1]), choice
 
 
 def _check_ids(succ, owner, color, sinks):
@@ -248,39 +263,15 @@ def automaton_wins(succ, owner, color, sinks):
 
     owner[v] is 0 for Automaton and 1 for Pathfinder; the listed sinks have
     no move and lose for their owner.  The arena is checked like
-    ParityGameArena.check.  Returns (won, choice): won is the set of ids
-    Automaton wins, and choice[v], at each Automaton id v in won, its
-    winning move.  The region does not depend on the numbering; the
-    choices break ties in id order (see in_str_order).
-
-    Each sink moves to the gadget of its owner, one self-loop per owner
-    that has sinks, which loses for that owner and gets the next id from
-    n on.  The gadgets and the sinks' moves are written into the caller's
-    lists while the game is solved and taken out again before returning,
-    so the arena is left as it was.
+    ParityGameArena.check and only read: tuples and bytes serve as well.
+    Returns (won, choice): won is the set of ids Automaton wins, and
+    choice[v], at each Automaton id v in won, its winning move.  The
+    region does not depend on the numbering; the choices break ties in id
+    order (see in_str_order).
     """
     _check_ids(succ, owner, color, sinks)
-    n = len(succ)
-    gadget = {}         # owner -> its gadget's id
-    try:
-        for v in dict.fromkeys(sinks):
-            o = owner[v]
-            g = gadget.get(o)
-            if g is None:
-                g = gadget[o] = len(succ)
-                succ.append((g,))
-                owner.append(o)
-                color.append(1 - o)
-            succ[v] = (g,)
-        won, choice = _solve_ids(succ, owner, color)
-    finally:
-        for v in sinks:
-            succ[v] = ()
-        del succ[n:], owner[n:], color[n:]
-    won = set(won[0])
-    won.difference_update(gadget.values())
-    del choice[n:]
-    return won, choice
+    won, choice = _solve_ids(succ, owner, color, sinks)
+    return set(won[0]), choice
 
 
 def in_str_order(succ, owner, color, sinks, names, keys):
@@ -294,10 +285,15 @@ def in_str_order(succ, owner, color, sinks, names, keys):
 
     If every sink is Automaton's, automaton_wins on the result gives
     Automaton the choices solve gives it on the named arena, though solve
-    interleaves a gadget per sink and automaton_wins appends one: an
-    Automaton sink's gadget has color 1 and only its self-loop, so no
-    Automaton attractor holds it, and ids that none holds do not change
-    the order in which the others are attracted.
+    closes each sink with a self-loop gadget that Pathfinder wins and
+    automaton_wins removes Pathfinder's attractor of the sinks first.
+    Removing a Pathfinder attractor of vertices Pathfinder wins from a
+    subgame changes none of the choices the decomposition settles for
+    Automaton (by induction on the subgame: no attractor that settles
+    them meets the set, no Pathfinder vertex outside it has a move into
+    it, and each frame's subgames again differ by such a set).  With
+    Pathfinder sinks, Automaton's own attractor of them may settle other,
+    equally winning, choices.
     """
     order = sorted(range(len(names)), key=keys.__getitem__)
     rank = [0] * len(order)

@@ -461,6 +461,52 @@ def test_in_str_order_gives_automaton_the_choices_of_solve():
     assert differs > 20
 
 
+def test_automaton_wins_with_sinks_of_both_owners():
+    """With Pathfinder sinks as well as Automaton's, automaton_wins' region
+    is solve's and solve_oracle's; its choices win there, enter no sink of
+    Automaton's and are never made at a sink."""
+    rng = random.Random(20261020)
+    for _ in range(2000):
+        n = rng.randint(2, 9)
+        owner = {v: rng.choice((AUTOMATON, PATHFINDER)) for v in range(n)}
+        owner[0], owner[1] = AUTOMATON, PATHFINDER
+        sinks = {0, 1} | {v for v in range(2, n) if rng.random() < 0.15}
+        edges = {v: () if v in sinks else
+                 [rng.randrange(n) for _ in range(rng.randint(1, 3))]
+                 for v in range(n)}
+        g = arena(owner, {v: rng.randrange(5) for v in range(n)}, edges,
+                  sinks)
+        order = list(range(n))
+        rng.shuffle(order)
+        built = int_form(g, order)
+        won, choice = automaton_wins(*built)
+        region = {order[v] for v in won}
+        assert region == solve(g).region[AUTOMATON]
+        assert region == solve_oracle(g).region[AUTOMATON]
+        strategy = {order[v]: order[choice[v]] for v in won
+                    if not built[1][v]}
+        assert verify_strategy(g, AUTOMATON, strategy, region)
+        assert all(owner[w] == PATHFINDER for w in strategy.values()
+                   if w in sinks)
+        assert all(choice[v] is None for v in built[3])
+
+
+def test_automaton_wins_only_reads_its_arguments():
+    """An arena with sinks given as tuples and bytes is solved as the same
+    arena given as lists."""
+    rng = random.Random(20261021)
+    solved = 0
+    for _ in range(300):
+        g = random_arena(rng, rng.randint(1, 9))
+        if g.sinks:
+            succ, owner, color, sinks = int_form(g, sorted(g.owner))
+            assert automaton_wins(tuple(succ), bytes(owner), tuple(color),
+                                  tuple(sinks)) == automaton_wins(
+                                      succ, owner, color, sinks)
+            solved += 1
+    assert solved > 50
+
+
 def test_malformed_int_arenas_rejected():
     ok = ([(1,), ()], bytearray([0, 1]), [2, 1], [1])
     # Pathfinder's sink 1 loses; a sink may be listed twice

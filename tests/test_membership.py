@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from treeamb import cli
+from treeamb import cli, games
 from treeamb.automata import ParityTreeAutomaton, det_pta_for_tree
 from treeamb.errors import (AlphabetMismatch, InconsistentRun, IsMember,
                             NotMember, PreconditionViolated, StateMismatch)
@@ -20,7 +20,8 @@ from treeamb.membership import (RegularRun, _product_arena, _product_ids,
                                 run_graft, run_is_accepting)
 from treeamb.trees import (RegularTree, build_tree, constant_tree, graft_node,
                            tree_equal)
-from treeamb.zoo import forbid_letter, zoo_exists_a1, zoo_neg_union
+from treeamb.zoo import (forbid_letter, zoo_exists_a1, zoo_neg_union,
+                         zoo_no_max, zoo_perf)
 
 ALPHA = ("c", "a1")
 T_C = constant_tree("c", ALPHA)
@@ -161,6 +162,29 @@ def test_member_agrees_with_direct_evaluation_on_deterministic():
 
 
 # ------------------------------------------------- strategies and runs
+
+def test_member_games_admit_each_vertex_to_one_attractor(monkeypatch):
+    """On trees the zoo's sink-heavy automata accept, Pathfinder's
+    attractor of the sinks and the decomposition of the rest admit every
+    arena vertex once, none twice."""
+    admitted = []
+
+    def counting(*args):
+        attr = attract(*args)
+        admitted.append(len(attr))
+        return attr
+
+    attract = games._attract
+    monkeypatch.setattr(games, "_attract", counting)
+    for seed in range(6):
+        t = random_tree(random.Random(seed), ("0", "1"), 200)
+        for a in (zoo_no_max(), zoo_perf()):
+            (succ, _, _, sinks), _, _ = _product_ids(a, t)
+            assert sinks
+            admitted.clear()
+            assert member(a, t)
+            assert sum(admitted) == len(succ)
+
 
 def test_run_from_winning_strategy_is_the_unique_run():
     g = build_game(NOT_A1, T_C)
