@@ -14,7 +14,10 @@ are simply absent from the arena, and a position with no valid move is a
 losing sink for Automaton.  Both treatments give the same winner: every
 play through an invalid move is lost for Automaton immediately, which is
 exactly what the sink does.  The leads() simulator below re-creates the
-invalid-move device where it is actually needed.
+invalid-move device where it is actually needed.  On member's path a move
+into a child with no valid move is absent too (see _product_ids): no run
+uses it, and Pathfinder wins its position by stepping into that child.
+build_game and classify keep every valid move.
 """
 
 from dataclasses import dataclass
@@ -28,7 +31,7 @@ from .trees import (RegularTree, build_tree, check_path, graft_node,
                     tree_equal)
 
 
-def _product_ids(a, t, given=None):
+def _product_ids(a, t, given=None, trim=False):
     """The membership product on dense int ids, and the names of the ids.
 
     Vertex i is numbered i when the breadth-first walk from the initial
@@ -44,11 +47,25 @@ def _product_ids(a, t, given=None):
     AlphabetMismatch naming given, the automaton as the caller was given
     it (a by default).
 
+    With trim (member's build), a move (ql, qr) at (m, q) is kept only if
+    ql has a transition on the letter of m's l-child and qr one on the
+    letter of its r-child; an Automaton vertex left without a move is a
+    sink.  Automaton's region on every vertex still built is that of the
+    full build.  No run uses a dropped move, since a run needs a
+    transition at every node.  In the full game the move's Pathfinder
+    vertex has a sink as a successor, so it lies in Pathfinder's attractor
+    of the sinks.  The trimmed arena is the full one restricted to the
+    vertices its walk reaches, less these moves: Automaton's winning
+    strategy never proposes one of them, and Pathfinder's, whose vertices
+    keep all of their moves, still wins against fewer proposals.  A vertex
+    left without a move had only losing ones.
+
     The walk hashes no names.  Tree states m and automaton states q (in
     str order) are numbered once; (m, q) is coded m*|Q| + q and looked up
     in a dense list, (m, ql, qr) is coded (m*|Q| + ql)*|Q| + qr and looked
     up in a dict.  Each (q, letter)'s moves are fetched once, as the codes
-    ql*|Q| + qr.
+    ql*|Q| + qr; with trim, once per (q, letter, l-child's letter,
+    r-child's letter), keeping the moves whose children can go on.
     """
     if not set(t.alphabet) <= set(a.alphabet):
         raise AlphabetMismatch(f"{t.name} is over {t.alphabet}, outside "
@@ -64,11 +81,20 @@ def _product_ids(a, t, given=None):
     left = [mid[nxt[(m, "l")]] * nq for m in tstates]
     right = [mid[nxt[(m, "r")]] * nq for m in tstates]
     labels = [t.out[m] for m in tstates]
-    # rows[m][q]: q's move codes on m's letter, fetched on first use; tree
-    # states with the same letter share one row
-    by_letter = {x: [None] * nq for x in set(labels)}
-    rows = [by_letter[x] for x in labels]
     moves = a.moves
+    if trim:
+        # live[x][q]: q has a transition on letter x, so a run can go on
+        # from a child labelled x in state q
+        live = {x: [bool(moves(q, x)) for q in states] for x in set(labels)}
+        kinds = [(x, t.out[nxt[(m, "l")]], t.out[nxt[(m, "r")]])
+                 for m, x in zip(tstates, labels)]
+    else:
+        kinds = labels
+    # rows[m][q]: q's move codes at m, fetched on first use; tree states of
+    # the same kind (their letter, and with trim their children's letters)
+    # share one row
+    by_kind = {k: [None] * nq for k in set(kinds)}
+    rows = [by_kind[k] for k in kinds]
     avert = [None] * (len(tstates) * nq)    # Automaton vertex ids by code
     pvert = {}                              # Pathfinder vertex ids by code
     codes = []
@@ -106,6 +132,11 @@ def _product_ids(a, t, given=None):
         if pairs is None:
             pairs = row[q] = [qid[ql] * nq + qid[qr]
                               for ql, qr in moves(states[q], labels[m])]
+            if trim:
+                _, xl, xr = kinds[m]
+                livel, liver = live[xl], live[xr]
+                pairs = row[q] = [w for w in pairs
+                                  if livel[w // nq] and liver[w % nq]]
         if not pairs:
             sinks.append(v)
         ws = []
@@ -188,9 +219,10 @@ def build_game(a, t):
 
 def member(a, t):
     """Is t in the language of a?  Decided on the int product explored from
-    every initial state: t is accepted iff Automaton wins from one of
-    them."""
-    arena, _, _ = _product_ids(a, t)
+    every initial state, built without the moves into a child that has no
+    transition (trim in _product_ids): t is accepted iff Automaton wins
+    from one of them."""
+    arena, _, _ = _product_ids(a, t, trim=True)
     won, _ = automaton_wins(*arena)
     return any(i in won for i in range(len(a.initials)))
 

@@ -8,18 +8,19 @@ import sys
 
 import pytest
 
-from treeamb import cli, games
+from treeamb import cli, formats, games
 from treeamb.automata import ParityTreeAutomaton, det_pta_for_tree
 from treeamb.errors import (AlphabetMismatch, InconsistentRun, IsMember,
                             NotMember, PreconditionViolated, StateMismatch)
-from treeamb.games import (AUTOMATON, PATHFINDER, ParityGameArena, bfs,
-                           cycle_tops, solve, verify_strategy)
+from treeamb.games import (AUTOMATON, PATHFINDER, ParityGameArena,
+                           automaton_wins, bfs, cycle_tops, solve,
+                           verify_strategy)
 from treeamb.membership import (RegularRun, _product_arena, _product_ids,
                                 automaton_strategy_to_run, build_game, leads,
                                 member, pathfinder_strategy, run_check,
                                 run_graft, run_is_accepting)
 from treeamb.trees import (RegularTree, build_tree, constant_tree, graft_node,
-                           tree_equal)
+                           make_node, tree_equal)
 from treeamb.zoo import (forbid_letter, zoo_exists_a1, zoo_neg_union,
                          zoo_no_max, zoo_perf)
 
@@ -166,7 +167,9 @@ def test_member_agrees_with_direct_evaluation_on_deterministic():
 def test_member_games_admit_each_vertex_to_one_attractor(monkeypatch):
     """On trees the zoo's sink-heavy automata accept, Pathfinder's
     attractor of the sinks and the decomposition of the rest admit every
-    arena vertex once, none twice."""
+    vertex of member's arena once, none twice; that arena leaves out the
+    moves into a child with no transition, so it is smaller than the
+    full build, which has sinks."""
     admitted = []
 
     def counting(*args):
@@ -181,9 +184,11 @@ def test_member_games_admit_each_vertex_to_one_attractor(monkeypatch):
         for a in (zoo_no_max(), zoo_perf()):
             (succ, _, _, sinks), _, _ = _product_ids(a, t)
             assert sinks
+            (trimmed, _, _, _), _, _ = _product_ids(a, t, trim=True)
+            assert len(trimmed) < len(succ)
             admitted.clear()
             assert member(a, t)
-            assert sum(admitted) == len(succ)
+            assert sum(admitted) == len(trimmed)
 
 
 def test_run_from_winning_strategy_is_the_unique_run():
@@ -636,6 +641,52 @@ def test_children_of_mixed_kinds_on_one_letter():
     assert analysis.strategy[AUTOMATON][g.arena.init] == (t.init, 1, 1)
 
 
+def test_member_trims_only_moves_into_a_child_without_transition():
+    """member's build drops exactly the moves with a child that has no
+    transition on its letter, and keeps the verdict of solve on build_game
+    and Automaton's region of the full build on every vertex it keeps."""
+    rng = random.Random(20261021)
+    cases = multi_initial_cases(7, 300)
+    for i in range(600):
+        a = (mixed_names_pta(rng) if i % 2
+             else pta_over(rng, rng.sample(ESCAPED_STATES, 5)))
+        cases.append((a, random_tree(rng, ALPHA, rng.randint(1, 5))))
+    # no-max and perfect have states without a transition on some letter
+    for _ in range(480):
+        t = random_tree(rng, ("0", "1"), rng.randint(1, 6))
+        cases += [(zoo_no_max(), t), (zoo_perf(), t)]
+    assert len(cases) >= 1500
+    trimmed = 0
+    for a, t in cases:
+        g = build_game(a, t)
+        verdict = solve(g.arena).winner_of(g.arena.init) == AUTOMATON
+        assert member(a, t) == verdict, (a, t)
+        full, _ = _product_arena(a, t, "G")
+        won_full = solve(full).region[AUTOMATON]
+        (succ, owner, color, sinks), names, _ = _product_ids(a, t, trim=True)
+        names = names()
+        assert set(names) <= set(full.owner)
+        trimmed += len(names) < len(full.owner)
+        won, _ = automaton_wins(succ, owner, color, sinks)
+        assert {names[v] for v in won} == won_full.intersection(names)
+
+        def goes_on(m, q):
+            return bool(a.moves(q, t.out[m]))
+
+        for v, ws, c in zip(names, succ, color):
+            assert c == full.color[v]
+            kept = [names[w] for w in ws]
+            if len(v) == 3:
+                assert tuple(kept) == full.edges[v]
+                continue
+            m, q = v
+            ml, mr = t.next[(m, "l")], t.next[(m, "r")]
+            # a move is dropped iff one of its children has no transition
+            assert kept == [(m, ql, qr) for ql, qr in a.moves(q, t.out[m])
+                            if goes_on(ml, ql) and goes_on(mr, qr)]
+    assert trimmed >= 500
+
+
 def test_alphabet_mismatch_names_the_given_automaton():
     free = ParityTreeAutomaton(
         "two-starts", ("c",), frozenset(["p", "q"]), frozenset(["p", "q"]),
@@ -677,3 +728,40 @@ def test_game_build_bytes_are_pinned(pta, mtree, tmp_path, capsys):
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == GAME_BUILD_SHA256[(pta, mtree)]
     capsys.readouterr()
+
+
+# sha256 over no-max and perfect on seeded {0,1} trees of the .game bytes
+# of build_game, the regions of `game solve` on those bytes, and on the
+# rejected trees the .straj bytes of pathfinder_strategy; the named game
+# keeps every move, also those that member leaves out
+NAMED_PATH_SHA256 = (
+    "5bbd135ca4f3afc1efb83a00f8857b376cc251b06cf972f9dfbc66c7c7cf9dd8")
+
+
+def test_named_membership_path_is_pinned():
+    rng = random.Random(20261022)
+    zeros = constant_tree("0", ("0", "1"))
+    lone = make_node("1", zeros, zeros)
+    trees = [random_tree(rng, ("0", "1"), rng.randint(1, 6))
+             for _ in range(60)]
+    # a planted lone 1 has no 1 below it: both automata reject
+    trees += [graft_node(rng.choice([zeros, trees[i]]), lone,
+                         "".join(rng.choice("lr")
+                                 for _ in range(rng.randint(0, 4))))
+              for i in range(40)]
+    digest = hashlib.sha256()
+    rejected = 0
+    for t in trees:
+        for a in (zoo_no_max(), zoo_perf()):
+            text = formats.serialize_game(build_game(a, t).arena)
+            digest.update(text.encode())
+            arena = formats.parse_game(text)
+            analysis = solve(arena)
+            digest.update("".join(f"{v} {analysis.winner_of(v)}\n"
+                                  for v in arena.owner).encode())
+            if analysis.winner_of(arena.init) == PATHFINDER:
+                rejected += 1
+                digest.update(formats.serialize_straj(
+                    pathfinder_strategy(a, t)).encode())
+    assert 80 <= rejected < 2 * len(trees)
+    assert digest.hexdigest() == NAMED_PATH_SHA256
