@@ -31,7 +31,7 @@ from functools import cached_property
 
 from .automata import (ParityTreeAutomaton, conjunction_dpw_tuple,
                        restrict_initials)
-from .errors import InconsistentRun, NotMember
+from .errors import NotMember, TreeambError
 from .games import (automaton_wins, bfs, cycle_tops, in_str_order,
                     name_key)
 from .membership import RegularRun, _product_ids, run_is_accepting
@@ -315,11 +315,13 @@ class _RunCounts:
         self.roots = tuple(v for v in rank[:len(a.initials)] if v in won)
         # winning moves of a winning Automaton vertex: the Pathfinder
         # successors inside W, given as their (left child, right child)
-        self.wmoves = {v: tuple(edges[p] for p in edges[v] if p in won)
-                       for v in won if not owner[v]}
-        self.succ = {v: sorted({c for m in ms for c in m})
-                     for v, ms in self.wmoves.items()}
-        self.reach = set(bfs(self.roots, self.succ.__getitem__))
+        self.wmoves = wmoves = {}
+        self.succ = succ = {}
+        for v in won:
+            if not owner[v]:
+                ms = wmoves[v] = tuple(edges[p] for p in edges[v] if p in won)
+                succ[v] = sorted({c for m in ms for c in m})
+        self.reach = set(bfs(self.roots, succ.__getitem__))
 
     @cached_property
     def forks(self):
@@ -523,23 +525,28 @@ def _residual_runs(counts, vertex):
     dirs = ["l" if edges[strat[u]][0] == w else "r"
             for u, w in zip(path, path[1:])]
 
-    wmoves = counts.wmoves
+    def stepper(fork):
+        """The successor function of the run that takes the winning move
+        fork at u's node on the path."""
+        def step(s, d):
+            v, j = s
+            k = 0 if d == "l" else 1
+            if j is None:
+                return edges[strat[v]][k], None
+            kids = fork if j == last else edges[strat[v]]
+            return kids[k], (j + 1 if j < last and dirs[j] == d else None)
+        return step
 
-    def step(s, d, i):
-        v, j = s
-        k = 0 if d == "l" else 1
-        if j is None:
-            return edges[strat[v]][k], None
-        kids = wmoves[v][i] if j == last else edges[strat[v]]
-        return kids[k], (j + 1 if j < last and dirs[j] == d else None)
+    def state(s):
+        return names[s[0]][1]
 
     sub = _subtree(t, m)
     aq = restrict_initials(a, frozenset([q]))
     alphabet = tuple(sorted(aq.states, key=str))
+    moves = counts.wmoves[path[-1]]
     return tuple(
-        RegularRun(aq, sub, build_tree((vertex, 0),
-                                       lambda s, d, i=i: step(s, d, i),
-                                       lambda s: names[s[0]][1], alphabet,
+        RegularRun(aq, sub, build_tree((vertex, 0), stepper(moves[i]), state,
+                                       alphabet,
                                        name=f"run[{aq.name},{sub.name}]#{i}"))
         for i in (0, 1))
 
@@ -608,16 +615,20 @@ def _witness_ok(counts, witness):
     if (witness.mode == UNCOUNTABLE
             and max(map(counts.color.__getitem__, spine)) % 2 != 0):
         return False
+    if len(witness.runs) != 2:
+        return False
     m, q = witness.vertex
     sub = _subtree(counts.tree, m)
     # judge each run as a run of A_q: a's transitions and colors, root q
     aq = restrict_initials(a, frozenset([q]))
     r1, r2 = witness.runs
     try:
-        ok = all(tree_equal(r.tree, sub) and
+        # a run's tree and machine are checked before they are walked, so
+        # a malformed one is invalid rather than an error
+        ok = all(tree_equal(r.tree.check(), sub) and
                  run_is_accepting(RegularRun(aq, r.tree, r.machine))
                  for r in (r1, r2))
-    except InconsistentRun:
+    except TreeambError:
         return False
     return ok and not tree_equal(r1.machine, r2.machine)
 

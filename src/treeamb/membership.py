@@ -26,7 +26,7 @@ from .automata import single_initial
 from .errors import (AlphabetMismatch, IncompleteStrategy, InconsistentRun,
                      IsMember, NotMember, PreconditionViolated, StateMismatch)
 from .games import (AUTOMATON, PATHFINDER, ParityGameArena, automaton_wins,
-                    bfs, cycle_tops, name_key, solve)
+                    cycle_tops, name_key, solve)
 from .trees import (RegularTree, build_tree, check_path, graft_node,
                     tree_equal)
 
@@ -245,11 +245,15 @@ class RegularRun:
         return self.machine.name
 
 
-def run_check(run):
-    """Validate the run invariants; raises InconsistentRun.
+def _run_walk(run):
+    """Check the run invariants in one walk, and return each reachable run
+    state's (l-child, r-child); raises InconsistentRun.
 
-    Root must output an initial state, and every reachable (run state,
-    tree state) pair must read off a transition of the automaton.
+    The walk visits the reachable (run state, tree state) pairs breadth
+    first and checks that each reads off a transition of the automaton,
+    failing on the first that does not.  The tree is total, so every path
+    of the run machine from its root is the first component of a path of
+    pairs: the run states the walk records are exactly the reachable ones.
     """
     a, t, mach = run.automaton, run.tree, run.machine
     mach.check()
@@ -257,16 +261,36 @@ def run_check(run):
         raise InconsistentRun(
             f"{run.name}: root state {mach.out[mach.init]!r} is not initial")
 
-    mnext, tnext, mout = mach.next, t.next, mach.out
-    adj = {}        # reachable (run state, tree state) -> its two children
-    for p in bfs([(mach.init, t.init)], adj.__getitem__):
-        r, m = p
-        rl, rr = mnext[(r, "l")], mnext[(r, "r")]
-        adj[p] = (rl, tnext[(m, "l")]), (rr, tnext[(m, "r")])
-        trans = (mout[r], t.out[m], mout[rl], mout[rr])
-        if trans not in a.delta:
+    mnext, tnext, mout, tout = mach.next, t.next, mach.out, t.out
+    delta = a.delta
+    kids = {}       # reachable run state -> (l-child, r-child)
+    seen = {(mach.init, t.init)}
+    queue = [(mach.init, t.init)]
+    for r, m in queue:      # the queue grows while it is walked
+        rl, rr = kids[r] = mnext[(r, "l")], mnext[(r, "r")]
+        pl, pr = (rl, tnext[(m, "l")]), (rr, tnext[(m, "r")])
+        trans = (mout[r], tout[m], mout[rl], mout[rr])
+        if trans not in delta:
             raise InconsistentRun(
                 f"{run.name}: {trans!r} is not a transition of {a.name}")
+        if pl not in seen:
+            seen.add(pl)
+            queue.append(pl)
+        if pr not in seen:
+            seen.add(pr)
+            queue.append(pr)
+    return kids
+
+
+def run_check(run):
+    """Validate the run invariants; raises InconsistentRun.
+
+    Root must output an initial state, and every reachable (run state,
+    tree state) pair must read off a transition of the automaton.  One
+    walk over those pairs, _run_walk, checks them; run_is_accepting uses
+    the same walk.
+    """
+    _run_walk(run)
     return run
 
 
@@ -275,17 +299,16 @@ def run_is_accepting(run):
 
     A branch's infinitely-visited machine states form a cycle-closed set,
     so the condition fails exactly when some reachable cycle of the run
-    machine has an odd maximal color.
+    machine has an odd maximal color.  The walk that checks the run
+    (run_check's) records each reachable run state's children on the way,
+    and cycle_tops reads them from there: the run machine is not walked
+    again.
     """
-    run_check(run)
-    a, mach = run.automaton, run.machine
-    nxt = mach.next
-    adj = {}        # reachable machine state -> (l-child, r-child)
-    for s in bfs([mach.init], adj.__getitem__):
-        adj[s] = (nxt[(s, "l")], nxt[(s, "r")])
-    colors = {s: a.color[mach.out[s]] for s in adj}
+    kids = _run_walk(run)
+    color, mout = run.automaton.color, run.machine.out
+    colors = {s: color[mout[s]] for s in kids}
     return all(c % 2 == 0
-               for _, c in cycle_tops(adj, adj.__getitem__, colors))
+               for _, c in cycle_tops(kids, kids.__getitem__, colors))
 
 
 def automaton_strategy_to_run(g, analysis):

@@ -75,17 +75,25 @@ def build_tree(init, succ, out, alphabet, name="tree"):
     """BFS-trim a machine given by functions and renumber states from 0.
 
     succ(state, dir) and out(state) may be defined on any hashable state
-    space; only the part reachable from init is kept.
+    space; only the part reachable from init is kept.  One breadth-first
+    pass numbers each state when it is first discovered, the l-child
+    before the r-child, and fills next as it goes.  Each id is one int
+    object, made once and read back from order wherever it is used (in
+    the keys and values of next and the keys of out): a tree held for
+    long costs one int per state, not one per reference.
     """
-    order = {}
-    kids = {}
-    for s in bfs([init], kids.__getitem__):
-        order[s] = len(order)
-        kids[s] = succ(s, "l"), succ(s, "r")
+    order = {init: 0}
+    queue = [init]
     nxt = {}
-    for s, (l, r) in kids.items():
-        nxt[(order[s], "l")] = order[l]
-        nxt[(order[s], "r")] = order[r]
+    for s in queue:     # the queue grows while it is walked
+        i = order[s]
+        for d in DIRS:
+            w = succ(s, d)
+            j = order.get(w)
+            if j is None:
+                j = order[w] = len(queue)
+                queue.append(w)
+            nxt[(i, d)] = j
     outs = {i: out(s) for s, i in order.items()}
     return RegularTree(name, tuple(alphabet), 0, nxt, outs)
 

@@ -4,6 +4,7 @@ import collections
 import hashlib
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -534,6 +535,26 @@ def test_tampered_witness_is_rejected():
     assert w2.mode == INFINITE and witness_is_valid(co, spread, w2)
     foreign = type(w2)(w2.mode, w2.vertex, w2.spine, w.runs)
     assert not witness_is_valid(co, spread, foreign)
+    # malformed runs are invalid, not errors: a third run, a run machine
+    # missing an edge or with a label outside its alphabet, a run tree
+    # missing an edge
+    third = type(w)(w.mode, w.vertex, w.spine, w.runs + w.runs[:1])
+    assert not witness_is_valid(free2, t, third)
+    r = w.runs[0]
+
+    def with_run(machine=r.machine, tree=r.tree):
+        runs = (type(r)(r.automaton, tree, machine), w.runs[1])
+        return type(w)(w.mode, w.vertex, w.spine, runs)
+
+    def without_edge(m):
+        return replace(m, next={k: s for k, s in m.next.items()
+                                if k != (m.init, "l")})
+
+    assert not witness_is_valid(free2, t,
+                                with_run(machine=without_edge(r.machine)))
+    stray = replace(r.machine, out={**r.machine.out, r.machine.init: "x"})
+    assert not witness_is_valid(free2, t, with_run(machine=stray))
+    assert not witness_is_valid(free2, t, with_run(tree=without_edge(r.tree)))
 
 
 def test_classify_json_of_random_pairs_is_pinned():

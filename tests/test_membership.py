@@ -385,6 +385,21 @@ def test_run_is_accepting_agrees_with_the_reference():
     assert min(map(kinds.count, (True, False, "inconsistent"))) > 200
 
 
+def test_run_is_judged_on_its_reachable_states_only():
+    # state 1 loops on an odd color and reads ("bad", "c", "bad", "bad"),
+    # no transition; the root never reaches it, so neither counts
+    a = ParityTreeAutomaton(
+        "two", ("c",), frozenset(["ok", "bad"]), frozenset(["ok"]),
+        frozenset([("ok", "c", "ok", "ok")]), {"ok": 0, "bad": 1}).check()
+    mach = RegularTree("m", ("bad", "ok"), 0,
+                       {(s, d): s for s in (0, 1) for d in "lr"},
+                       {0: "ok", 1: "bad"})
+    run = RegularRun(a, constant_tree("c", ("c",)), mach)
+    assert run_check(run) is run
+    assert run_is_accepting(run)
+    assert reference_run_is_accepting(run)
+
+
 def test_run_label_outside_its_alphabet_is_named():
     # states 1 and 2 both output a label outside the machine's alphabet;
     # the check reports the first in the order of set(out)

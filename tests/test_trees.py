@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from test_membership import random_tree
 from treeamb.errors import AlphabetMismatch, AntichainViolation
 from treeamb.formats import serialize_mtree
+from treeamb.games import bfs
 from treeamb.trees import (
     MooreMachine, RegularAntichain, RegularTree, build_tree, constant_machine,
     constant_tree, graft_antichain, graft_node, last_letter_machine,
@@ -231,6 +232,78 @@ def test_tree_equal_agrees_with_unfolding(s1, s2):
     t1, t2 = mk(s1), mk(s2)
     # 16 states in the product is a safe distinguishing depth
     assert tree_equal(t1, t2) == (unfold(t1, 16) == unfold(t2, 16))
+
+
+def reference_build_tree(init, succ, out, alphabet, name="tree"):
+    """build_tree as it was before it numbered states during its walk: a
+    bfs pass that numbers the states and records their children, then a
+    pass that writes next."""
+    order = {}
+    kids = {}
+    for s in bfs([init], kids.__getitem__):
+        order[s] = len(order)
+        kids[s] = succ(s, "l"), succ(s, "r")
+    nxt = {}
+    for s, (l, r) in kids.items():
+        nxt[(order[s], "l")] = order[l]
+        nxt[(order[s], "r")] = order[r]
+    outs = {i: out(s) for s, i in order.items()}
+    return RegularTree(name, tuple(alphabet), 0, nxt, outs)
+
+
+def random_machine(rng, n):
+    """A machine given by functions on n states drawn from ints, strs and
+    tuples, some of them printing alike (1 and "1", (1, "x") and
+    "(1, 'x')"), with self-loops and states that init does not reach."""
+    pool = [f(k) for k in range(n) for f in (
+        int, str, lambda k: (k, "x"), lambda k: str((k, "x")))]
+    states = rng.sample(pool, n)
+    # a third of the time the upper half is reachable only from itself
+    cut = max(1, n // 2) if rng.random() < 1 / 3 else n
+    table = {}
+    for i, s in enumerate(states):
+        for d in "lr":
+            if rng.random() < 0.15:
+                table[(s, d)] = s
+            else:
+                table[(s, d)] = states[rng.randrange(cut if i < cut else n)]
+    label = {s: rng.choice(AB) for s in states}
+    init = states[rng.randrange(cut)]
+    return init, table, label
+
+
+def test_build_tree_matches_the_two_pass_reference():
+    """Same numbering, and the same contents and insertion order of next
+    and out, on 1,200 seeded machines; each state id is one int object
+    across the keys and values of next and the keys of out."""
+    rng = random.Random(20261021)
+    seen = {"self-loop": 0, "unreachable": 0, "alike": 0, "shared ints": 0}
+    for i in range(1200):
+        # every 40th machine has enough states that ids above 256, which
+        # CPython does not share, occur
+        n = rng.randint(300, 500) if i % 40 == 0 else rng.randint(1, 12)
+        init, table, label = random_machine(rng, n)
+        args = (init, lambda s, d: table[(s, d)], label.__getitem__,
+                list(AB), f"m{i}")
+        got, want = build_tree(*args), reference_build_tree(*args)
+        assert (got.init, got.name, got.alphabet) == (
+            want.init, want.name, want.alphabet)
+        assert list(got.next.items()) == list(want.next.items())
+        assert list(got.out.items()) == list(want.out.items())
+        objs = {}
+        for (j, _), k in got.next.items():
+            objs.setdefault(j, set()).add(id(j))
+            objs.setdefault(k, set()).add(id(k))
+        for j in got.out:
+            objs.setdefault(j, set()).add(id(j))
+        assert all(len(ids) == 1 for ids in objs.values())
+        seen["shared ints"] += any(j > 256 for j in objs)
+        seen["self-loop"] += any(table[(s, d)] == s
+                                 for s in label for d in "lr")
+        seen["unreachable"] += len(got.out) < n
+        seen["alike"] += len(set(map(str, label))) < n
+    shared = seen.pop("shared ints")
+    assert shared >= 10 and min(seen.values()) > 200, (shared, seen)
 
 
 def test_build_tree_trims():
