@@ -33,7 +33,7 @@ from .automata import (ParityTreeAutomaton, conjunction_dpw_tuple,
                        restrict_initials)
 from .errors import NotMember, TreeambError
 from .games import (automaton_wins, bfs, cycle_tops, in_str_order,
-                    name_key)
+                    name_key, strongly_connected_components)
 from .membership import RegularRun, _product_ids, run_is_accepting
 from .trees import build_tree, tree_equal
 
@@ -53,52 +53,44 @@ def _emptiness_ids(a):
     each id.
 
     States pick a transition, transitions branch to both children.  State
-    q is named ("q", q) and transition tr ("t", tr): the states come first
-    in str order, then each state's transitions in str order, which is
-    also the order of the state's moves.  A state with no transitions at
-    all is a losing sink for Automaton.  Returns (succ, owner, color,
-    sinks, names): the int arena as games.automaton_wins takes it, and
-    names[i] the name of id i.
+    q is named ("q", q) and transition tr ("t", tr), and the ids follow
+    the str order of those names, as solve interns them: all states
+    first, then all transitions.  Both sorts run over states in str order
+    and each state's transitions in str order, so that names which print
+    alike keep that order.  A state's moves are its transitions in str
+    order, and a state with none is a losing sink for Automaton.  Returns
+    (succ, owner, color, sinks, names): the int arena as
+    games.automaton_wins takes it, and names[i] the name of id i.
     """
-    bystate = {}
-    for tr in a.delta:
-        bystate.setdefault(tr[0], []).append(tr)
-    states = sorted(a.states, key=str)
+    own = {q: sorted([(q, x, l, r) for x in set(a.alphabet)
+                      for l, r in a.moves(q, x)], key=str)
+           for q in sorted(a.states, key=str)}
+    states = sorted(own, key=lambda q: str(("q", q)))
+    trs = sorted([tr for mine in own.values() for tr in mine],
+                 key=lambda tr: str(("t", tr)))
     ids = {q: i for i, q in enumerate(states)}
-    names = [("q", q) for q in states]
-    succ, owner = [], bytearray(len(states))
-    color = [a.color[q] for q in states]
-    sinks, kids = [], []
-    for i, q in enumerate(states):
-        trs = sorted(bystate.get(q, ()), key=str)
-        if not trs:
-            sinks.append(i)
-        succ.append(tuple(range(len(names), len(names) + len(trs))))
-        names += [("t", tr) for tr in trs]
-        kids += [(ids[tr[2]], ids[tr[3]]) for tr in trs]
-    succ += kids
-    owner += b"\x01" * len(kids)
-    color += [0] * len(kids)
+    tids = {tr: i for i, tr in enumerate(trs, len(states))}
+    succ = [tuple(map(tids.__getitem__, own[q])) for q in states]
+    succ += [(ids[tr[2]], ids[tr[3]]) for tr in trs]
+    owner = bytearray(len(states)) + b"\x01" * len(trs)
+    color = [a.color[q] for q in states] + [0] * len(trs)
+    sinks = [i for i, q in enumerate(states) if not own[q]]
+    names = [("q", q) for q in states] + [("t", tr) for tr in trs]
     return succ, owner, color, sinks, names
 
 
 def emptiness(a):
     """A regular tree accepted by a, or None when the language is empty."""
-    *arena, names = _emptiness_ids(a)
-    arena, names, _ = in_str_order(*arena, names, list(map(str, names)))
-    won, choice = automaton_wins(*arena)
-    ids = dict(zip(names, range(len(names))))
-    winners = [q for q in sorted(a.initials, key=name_key)
-               if ids[("q", q)] in won]
+    succ, *arena, names = _emptiness_ids(a)
+    won, choice = automaton_wins(succ, *arena)
+    # the states are ids 0..|Q|-1
+    n = len(a.states)
+    winners = [i for i in won if i < n and names[i][1] in a.initials]
     if not winners:
         return None
-
-    def chosen(q):
-        return names[choice[ids[("q", q)]]][1]
-
-    return build_tree(winners[0],
-                      lambda q, d: chosen(q)[2 if d == "l" else 3],
-                      lambda q: chosen(q)[1],
+    return build_tree(min(winners, key=lambda i: name_key(names[i][1])),
+                      lambda i, d: succ[choice[i]][d == "r"],
+                      lambda i: names[choice[i]][1][1],
                       a.alphabet, name=f"wit[{a.name}]")
 
 
@@ -374,37 +366,29 @@ class _RunCounts:
         when not member: N(v) per vertex, children multiplied and moves
         added.
 
-        Only sound once regeneration_vertices() is empty: branching
-        vertices then form a DAG and the worklist below terminates.
+        Only sound once regeneration_vertices() is empty: the branching
+        vertices then form a DAG.  strongly_connected_components emits each
+        component after every component it reaches, so one pass over
+        order in that sequence finds every child's N ready; a child
+        outside order is not branching and has N = 1.
         """
-        br, wmoves, succ = self.branching, self.wmoves, self.succ
-        memo, expanding = {}, set()
-        stack = [(v, False) for v in self.roots]
-        while stack:
-            u, ready = stack.pop()
-            if u in memo:
-                continue
-            if u not in br:
-                memo[u] = 1
-                continue
-            if ready:
-                expanding.discard(u)
-                n = 0
-                for cl, cr in wmoves[u]:
-                    n += memo[cl] * memo[cr]
-                    if n >= cap:
-                        n = cap
-                        break
-                memo[u] = n
-            else:
-                if u in expanding:
-                    raise AssertionError(
-                        "counting over a branching cycle; the infinite "
-                        "certificate should have fired first")
-                expanding.add(u)
-                stack.append((u, True))
-                stack += [(c, False) for c in succ[u] if c not in memo]
-        return min(sum(memo[v] for v in self.roots), cap)
+        wmoves, succ = self.wmoves, self.succ
+        memo = {}
+        for comp in strongly_connected_components(self.order,
+                                                  succ.__getitem__):
+            u = comp.pop()
+            if comp or u in succ[u]:
+                raise AssertionError(
+                    "counting over a branching cycle; the infinite "
+                    "certificate should have fired first")
+            n = 0
+            for cl, cr in wmoves[u]:
+                n += memo.get(cl, 1) * memo.get(cr, 1)
+                if n >= cap:
+                    n = cap
+                    break
+            memo[u] = n
+        return min(sum(memo.get(v, 1) for v in self.roots), cap)
 
 
 def at_least_k(a, t, k):
@@ -456,14 +440,6 @@ class AmbiguityVerdict:
     @classmethod
     def at_least(cls, n):
         return cls("at_least", n=n)
-
-    @classmethod
-    def infinite(cls, witness):
-        return cls(INFINITE, witness=witness)
-
-    @classmethod
-    def uncountable(cls, witness):
-        return cls(UNCOUNTABLE, witness=witness)
 
     def __repr__(self):
         if self.kind == "exact":
@@ -623,10 +599,10 @@ def _witness_ok(counts, witness):
     aq = restrict_initials(a, frozenset([q]))
     r1, r2 = witness.runs
     try:
-        # a run's tree and machine are checked before they are walked, so
-        # a malformed one is invalid rather than an error
-        ok = all(tree_equal(r.tree.check(), sub) and
-                 run_is_accepting(RegularRun(aq, r.tree, r.machine))
+        # the run walk checks a run's tree and machine before it walks
+        # them, so a malformed one is invalid rather than an error
+        ok = all(run_is_accepting(RegularRun(aq, r.tree, r.machine)) and
+                 tree_equal(r.tree, sub)
                  for r in (r1, r2))
     except TreeambError:
         return False
@@ -651,11 +627,10 @@ def classify(a, t, K):
     counts = _RunCounts(a, t)
     if not counts.roots:
         return AmbiguityVerdict.exact(0)
-    for mode, build in ((UNCOUNTABLE, AmbiguityVerdict.uncountable),
-                        (INFINITE, AmbiguityVerdict.infinite)):
+    for mode in (UNCOUNTABLE, INFINITE):
         witness = _find_witness(counts, mode)
         if witness is not None:
-            return build(witness)
+            return AmbiguityVerdict(mode, witness=witness)
     n = counts.total(cap=K + 1)
     if n > K:
         return AmbiguityVerdict.at_least(K + 1)

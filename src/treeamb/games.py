@@ -448,8 +448,11 @@ def bfs(starts, succ, parent=None):
 def strongly_connected_components(vertices, succ):
     """Tarjan, iterative.  succ maps a vertex to an iterable of successors.
 
-    Roots are tried in the order of vertices, which fixes the order of the
-    components.  Successors outside vertices are skipped as they come up,
+    Each component is emitted after every component it reaches (reverse
+    topological order; Tarjan, "Depth-first search and linear graph
+    algorithms", SIAM J. Comput. 1972).  Roots are tried in the order of
+    vertices, which fixes the order among components that do not reach
+    one another.  Successors outside vertices are skipped as they come up,
     membership tested against a set built once.  low holds exactly the
     vertices on Tarjan's stack: an entry is deleted when its component
     pops, so `w in low` is the on-stack test."""

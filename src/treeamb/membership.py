@@ -31,7 +31,14 @@ from .trees import (RegularTree, build_tree, check_path, graft_node,
                     tree_equal)
 
 
-def _product_ids(a, t, given=None, trim=False):
+def _check_alphabet(a, t):
+    """Raise AlphabetMismatch, naming a, unless t's letters are all a's."""
+    if not set(t.alphabet) <= set(a.alphabet):
+        raise AlphabetMismatch(f"{t.name} is over {t.alphabet}, outside "
+                               f"{a.name}'s alphabet")
+
+
+def _product_ids(a, t, trim=False):
     """The membership product on dense int ids, and the names of the ids.
 
     Vertex i is numbered i when the breadth-first walk from the initial
@@ -44,8 +51,7 @@ def _product_ids(a, t, given=None, trim=False):
     names, and keys() lists their str, composed from one repr per tree
     state and per automaton state (a tuple's str is its items' reprs
     between parentheses).  A tree with a letter outside a's alphabet raises
-    AlphabetMismatch naming given, the automaton as the caller was given
-    it (a by default).
+    AlphabetMismatch naming a (_check_alphabet).
 
     With trim (member's build), a move (ql, qr) at (m, q) is kept only if
     ql has a transition on the letter of m's l-child and qr one on the
@@ -67,9 +73,7 @@ def _product_ids(a, t, given=None, trim=False):
     ql*|Q| + qr; with trim, once per (q, letter, l-child's letter,
     r-child's letter), keeping the moves whose children can go on.
     """
-    if not set(t.alphabet) <= set(a.alphabet):
-        raise AlphabetMismatch(f"{t.name} is over {t.alphabet}, outside "
-                               f"{(given or a).name}'s alphabet")
+    _check_alphabet(a, t)
     states = sorted(a.states, key=str)
     nq = len(states)
     nqq = nq * nq
@@ -179,13 +183,14 @@ def _product_ids(a, t, given=None, trim=False):
     return (succ, owner, color, sinks), names, keys
 
 
-def _product_arena(a, t, name, given=None):
+def _product_arena(a, t, name):
     """Arena of the membership game, explored from all initial states: the
     int product of _product_ids relabelled by its vertex names.  Returns
     the arena and the list of initial Automaton vertices (one per initial
-    state of a).
+    state of a).  A tree with a letter outside a's alphabet raises
+    AlphabetMismatch naming a.
     """
-    (succ, owner, color, sinks), names, _ = _product_ids(a, t, given)
+    (succ, owner, color, sinks), names, _ = _product_ids(a, t)
     names = names()
     label = names.__getitem__
     inits = names[:len(a.initials)]
@@ -211,9 +216,12 @@ def build_game(a, t):
     Multi-initial automata are funneled through single_initial first so the
     game has one initial position; the original automaton is kept on the
     result for converting strategies back to runs over its real states.
+    The alphabets are checked before the funnel, so that a mismatch names
+    a as given.
     """
+    _check_alphabet(a, t)
     normalized = a if len(a.initials) == 1 else single_initial(a)
-    arena, _ = _product_arena(normalized, t, f"G[{a.name},{t.name}]", a)
+    arena, _ = _product_arena(normalized, t, f"G[{a.name},{t.name}]")
     return MembershipGame(arena, normalized, a, t)
 
 
@@ -247,16 +255,19 @@ class RegularRun:
 
 def _run_walk(run):
     """Check the run invariants in one walk, and return each reachable run
-    state's (l-child, r-child); raises InconsistentRun.
+    state's (l-child, r-child); raises InconsistentRun, or the error of
+    the run machine's or the tree's check() when one is malformed.
 
     The walk visits the reachable (run state, tree state) pairs breadth
     first and checks that each reads off a transition of the automaton,
-    failing on the first that does not.  The tree is total, so every path
-    of the run machine from its root is the first component of a path of
-    pairs: the run states the walk records are exactly the reachable ones.
+    failing on the first that does not.  The tree is checked total first,
+    so every path of the run machine from its root is the first component
+    of a path of pairs: the run states the walk records are exactly the
+    reachable ones.
     """
     a, t, mach = run.automaton, run.tree, run.machine
     mach.check()
+    t.check()
     if mach.out[mach.init] not in a.initials:
         raise InconsistentRun(
             f"{run.name}: root state {mach.out[mach.init]!r} is not initial")
@@ -425,9 +436,7 @@ def leads(a, t0, strj, tprime, phi):
     if not tree_equal(phi.tree, tprime):
         raise PreconditionViolated(
             f"{phi.name} runs on {phi.tree.name}, not on {tprime.name}")
-    if not set(t0.alphabet) <= set(a.alphabet):
-        raise AlphabetMismatch(
-            f"{t0.name} is over {t0.alphabet}, outside {a.name}'s alphabet")
+    _check_alphabet(a, t0)
     mach = phi.machine
     bound = len(mach.states) * len(t0.states) * len(tprime.states) * len(strj.states)
     r, m0, s = mach.init, t0.init, strj.init

@@ -22,10 +22,11 @@ from treeamb.automata import (ParityTreeAutomaton, det_pta_for_tree,
 from treeamb.errors import NotMember
 from treeamb.formats import serialize_pta, verdict_to_json
 from treeamb.games import (AUTOMATON, PATHFINDER, ParityGameArena,
-                           automaton_wins, cycle_tops, solve)
+                           automaton_wins, cycle_tops, in_str_order, solve)
 from treeamb.membership import member, run_is_accepting
 from treeamb.trees import (MooreMachine, constant_tree, graft_antichain,
-                           graft_node, lstar_r_antichain, relabel, tree_equal)
+                           graft_node, lstar_r_antichain, make_node, relabel,
+                           tree_equal)
 from treeamb import ambiguity, membership, zoo
 
 from test_membership import (ESCAPED_STATES, mixed_names_pta,
@@ -450,6 +451,95 @@ def test_classify_verdicts_obey_the_union_and_intersect_laws():
                for kind in ("exact", "at_least", INFINITE, UNCOUNTABLE)) >= 30
 
 
+def reference_total(counts, cap):
+    """_RunCounts.total as it was before it counted in the order of
+    strongly_connected_components: a post-order walk from the roots, with
+    a stack of (vertex, ready) and the set of vertices being expanded."""
+    br, wmoves, succ = counts.branching, counts.wmoves, counts.succ
+    memo, expanding = {}, set()
+    stack = [(v, False) for v in counts.roots]
+    while stack:
+        u, ready = stack.pop()
+        if u in memo:
+            continue
+        if u not in br:
+            memo[u] = 1
+            continue
+        if ready:
+            expanding.discard(u)
+            n = 0
+            for cl, cr in wmoves[u]:
+                n += memo[cl] * memo[cr]
+                if n >= cap:
+                    n = cap
+                    break
+            memo[u] = n
+        else:
+            if u in expanding:
+                raise AssertionError(
+                    "counting over a branching cycle; the infinite "
+                    "certificate should have fired first")
+            expanding.add(u)
+            stack.append((u, True))
+            stack += [(c, False) for c in succ[u] if c not in memo]
+    return min(sum(memo[v] for v in counts.roots), cap)
+
+
+def prefix_tree(rng, depth):
+    """A random finite prefix of make_node nodes, at most depth deep, over
+    the constant-c tree or small random trees."""
+    if depth == 0 or rng.random() < 0.25:
+        return (T_C if rng.random() < 0.7
+                else random_tree(rng, ALPHA, rng.randint(1, 2)))
+    return make_node(rng.choice(ALPHA), prefix_tree(rng, depth - 1),
+                     prefix_tree(rng, depth - 1))
+
+
+def test_total_agrees_with_the_reference_count():
+    # exists-a1 forks at each a1 of a finite prefix, off every cycle; the
+    # sums and products of two parts nest those forks
+    rng = random.Random(20261023)
+    exists = zoo.zoo_exists_a1()
+
+    def part(t):
+        return (exists, law_part(rng, t),
+                union(exists, law_part(rng, t)))[rng.randrange(3)]
+
+    pairs = branching = 0
+    totals = collections.Counter()
+    for i in range(3000):
+        t = prefix_tree(rng, 4)
+        a, b = part(t), part(t)
+        counts = _RunCounts((a, union(a, b), intersect(a, b))[i % 3], t)
+        if not counts.roots or counts.regeneration_vertices():
+            continue
+        pairs += 1
+        branching += bool(counts.order)
+        for cap in range(1, 7):
+            assert counts.total(cap) == reference_total(counts, cap)
+        totals[counts.total(7)] += 1
+        if pairs == 1200:
+            break
+    assert pairs == 1200 and branching > 300
+    assert min(totals[n] for n in range(1, 8)) >= 30, totals
+
+
+def test_total_on_the_zoo():
+    lfa = zoo.zoo_lfa()
+    for m in range(2, 6):
+        counts = _RunCounts(lfa, zoo.lfa_witness_tree(m, 1))
+        assert counts.total(2 * m + 1) == 2 * m
+        assert counts.total(m) == m
+    for k in range(1, 5):
+        counts = _RunCounts(zoo.zoo_neg_union(k), T_C)
+        assert counts.total(k + 1) == k
+    # free2's reachable regeneration vertex sits on a branching cycle
+    counts = _RunCounts(zoo.zoo_free2(), constant_tree("c", ("c",)))
+    assert counts.regeneration_vertices()
+    with pytest.raises(AssertionError, match="branching cycle"):
+        counts.total(3)
+
+
 def test_classify_verdicts_obey_the_moore_reduction_law():
     # moore_reduction(a, M)'s runs on t are a's runs on relabel(M, t), one
     # for one, so both classify alike; the witnesses differ in their names
@@ -719,8 +809,7 @@ def _emptiness_cases():
 def test_int_emptiness_game_relabels_to_the_structural_arena():
     for a in _emptiness_cases():
         succ, owner, color, sinks, names = _emptiness_ids(a)
-        assert names[:len(a.states)] == [("q", q) for q in
-                                         sorted(a.states, key=str)]
+        assert names == sorted(names, key=str)
         g = structural_emptiness_game(a)
         assert g.check() is g
         assert len(set(names)) == len(names) and set(names) == g.owner.keys()
@@ -730,6 +819,26 @@ def test_int_emptiness_game_relabels_to_the_structural_arena():
         assert [g.edges[v] for v in names] == [
             tuple(names[j] for j in ws) for ws in succ]
         assert frozenset(names[i] for i in sinks) == g.sinks
+
+
+def test_emptiness_ids_are_in_str_order_as_built():
+    # in_str_order leaves the arena as it is: emptiness solves the arena
+    # that it solved when it renumbered the build, ties between names
+    # that print alike included
+    rng = random.Random(20261023)
+    for i in range(2400):
+        if i % 3 == 0:
+            a = random_pta(rng, ALPHA, rng.randint(1, 6), rng.randint(0, 8),
+                           rng.randint(0, 4))
+        elif i % 3 == 1:
+            a = mixed_names_pta(rng)
+        else:
+            a = pta_over(rng, rng.sample(ESCAPED_STATES, rng.randint(3, 7)))
+        *arena, names = _emptiness_ids(a)
+        renumbered, _, rank = in_str_order(*arena, names,
+                                           list(map(str, names)))
+        assert rank == list(range(len(names)))
+        assert renumbered == tuple(arena)
 
 
 def test_verdict_arenas_come_back_from_automaton_wins_unchanged(monkeypatch):

@@ -317,6 +317,34 @@ def test_sccs_match_the_reference_tarjan():
     assert min(seen.values()) > 200, seen
 
 
+def test_sccs_come_after_every_component_they_reach():
+    """On every edge u -> w inside the set, w's component is emitted no
+    later than u's: reverse topological order, which _RunCounts.total
+    counts in.  Seeded graphs with self-loops, parallel edges and
+    successors outside the vertex list."""
+    rng = random.Random(20261023)
+    seen = {"outside": 0, "self-loop": 0, "parallel": 0, "across": 0}
+    for _ in range(2000):
+        n = rng.randint(1, 12)
+        inside = rng.sample(range(n + 3), n)
+        succ = {v: [rng.randrange(n + 3) for _ in range(rng.randint(0, 3))]
+                for v in inside}
+        comps = strongly_connected_components(inside, succ.__getitem__)
+        where = {v: i for i, comp in enumerate(comps) for v in comp}
+        assert sorted(where) == sorted(inside)
+        for u in inside:
+            for w in succ[u]:
+                if w in where:
+                    assert where[w] <= where[u]
+                    seen["across"] += where[w] < where[u]
+        seen["outside"] += any(w not in where for v in inside
+                               for w in succ[v])
+        seen["self-loop"] += any(v in succ[v] for v in inside)
+        seen["parallel"] += any(len(set(succ[v])) < len(succ[v])
+                                for v in inside)
+    assert min(seen.values()) > 200, seen
+
+
 def test_ties_break_in_str_order():
     # ids follow str order ("10" < "2"), so 10 is pulled toward vertex 1
     # before 2 is, and 0's first edge into the attractor is 0 -> 10

@@ -5,13 +5,16 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from treeamb import cli, formats, games
+from treeamb.ambiguity import classify
 from treeamb.automata import ParityTreeAutomaton, det_pta_for_tree
 from treeamb.errors import (AlphabetMismatch, InconsistentRun, IsMember,
-                            NotMember, PreconditionViolated, StateMismatch)
+                            NotMember, PreconditionViolated, StateMismatch,
+                            UnknownState)
 from treeamb.games import (AUTOMATON, PATHFINDER, ParityGameArena,
                            automaton_wins, bfs, cycle_tops, solve,
                            verify_strategy)
@@ -409,6 +412,21 @@ def test_run_label_outside_its_alphabet_is_named():
     with pytest.raises(AlphabetMismatch) as err:
         run_is_accepting(RegularRun(NOT_A1, T_C, mach))
     assert str(err.value) == "state 1 outputs 'bad' outside the alphabet"
+
+
+def test_run_tree_missing_an_edge_is_named():
+    # the walk checks the run's tree before it looks an edge up: a tree
+    # without its root's l-edge fails that check, not on a missing key
+    data = os.path.join(os.path.dirname(__file__), "data")
+    a = formats.parse_pta(formats.read_file(os.path.join(data, "free2.pta")))
+    t = formats.parse_mtree(formats.read_file(os.path.join(data, "tc.mtree")))
+    run = classify(a, t, 3).witness.runs[0]
+    broken = replace(run.tree, next={k: s for k, s in run.tree.next.items()
+                                     if k != (run.tree.init, "l")})
+    for check in (run_check, run_is_accepting):
+        with pytest.raises(UnknownState) as err:
+            check(RegularRun(run.automaton, broken, run.machine))
+        assert str(err.value) == f"state {run.tree.init} missing l-edge"
 
 
 # ---------------------------------------------------------- run_graft
